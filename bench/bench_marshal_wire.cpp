@@ -20,7 +20,6 @@
 #include "runtime/convert.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "wire/wire.hpp"
 
 // Heap-allocation counter for the marshaling benchmarks: the zero-copy
@@ -150,11 +149,17 @@ BENCHMARK(BM_RoundtripCursor);
 //
 // The E4 workload: a record-heavy telemetry struct of byte-wide fields (the
 // shape BlockCopy specializes on a little-endian host) plus one ranged
-// 16-bit sequence number that forces a genuine converted field. Three ways
+// 16-bit sequence number that forces a genuine converted field. Four ways
 // to put it on the wire:
 //   * TwoPhase — read_image -> Converter -> wire::encode (tree paths);
-//   * FusedValue — PlanVm::marshal on a pre-read Value (PR2 fused path);
-//   * NativeZeroCopy — PlanVm::marshal_native straight from heap bytes.
+//   * FusedThreaded — ThreadedEngine::marshal on a pre-read Value (the
+//     fused path a proxy to a remote port runs);
+//   * NativeThreaded — ThreadedEngine::marshal_native straight from heap
+//     bytes (zero-copy);
+//   * NativeCompiled — a dlopen'd C stub over the same image (needs a host
+//     cc).
+// bench/check_engine_tiers.sh gates Compiled >= 3x NativeThreaded >= 3x
+// TwoPhase.
 
 struct NativeWorld {
   std::shared_ptr<const runtime::ImageLayout> layout;
@@ -263,45 +268,6 @@ void BM_MarshalTwoPhaseFromHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_MarshalTwoPhaseFromHeap);
 
-void BM_MarshalFusedFromValue(benchmark::State& state) {
-  NativeWorld& w = native_world();
-  runtime::PlanVm vm(w.fused);
-  Value v = runtime::read_image(*w.layout, 0, w.heap, w.base);
-  uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    auto buf = vm.marshal(v);
-    benchmark::DoNotOptimize(buf);
-  }
-  state.counters["allocs_per_op"] =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) /
-      static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_MarshalFusedFromValue);
-
-void BM_MarshalNativeZeroCopy(benchmark::State& state) {
-  NativeWorld& w = native_world();
-  runtime::PlanVm vm(w.native);
-  std::vector<uint8_t> buf;
-  buf.reserve(256);
-  uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    vm.marshal_native_into(w.heap, w.base, buf);
-    benchmark::DoNotOptimize(buf);
-  }
-  state.counters["allocs_per_op"] =
-      static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) /
-      static_cast<double>(state.iterations());
-  state.counters["block_copies"] = static_cast<double>(w.block_copies());
-}
-BENCHMARK(BM_MarshalNativeZeroCopy);
-
-// ---- engine tiers on the same workload --------------------------------------
-//
-// The vm -> threaded -> compiled progression over the E4 telemetry shape.
-// FusedThreaded vs FusedFromValue is the pair bench/check_engine_tiers.sh
-// gates on (threaded must hold >= 1.3x on fused marshal); the Native rows
-// show the remaining headroom down to a dlopen'd C stub.
-
 void BM_MarshalFusedThreaded(benchmark::State& state) {
   NativeWorld& w = native_world();
   runtime::ThreadedEngine te(w.fused);
@@ -317,8 +283,6 @@ void BM_MarshalFusedThreaded(benchmark::State& state) {
   state.counters["allocs_per_op"] =
       static_cast<double>(g_allocs.load(std::memory_order_relaxed) - allocs0) /
       static_cast<double>(state.iterations());
-  state.counters["computed_goto"] =
-      runtime::ThreadedEngine::computed_goto() ? 1.0 : 0.0;
 }
 BENCHMARK(BM_MarshalFusedThreaded);
 
@@ -339,6 +303,7 @@ void BM_MarshalNativeThreaded(benchmark::State& state) {
   state.counters["simd_blocks_per_op"] =
       static_cast<double>(te.stats().simd_blocks) /
       static_cast<double>(state.iterations());
+  state.counters["block_copies"] = static_cast<double>(w.block_copies());
 }
 BENCHMARK(BM_MarshalNativeThreaded);
 

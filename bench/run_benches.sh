@@ -9,23 +9,20 @@
 #
 # bench/BENCH_planir.json documents the two PlanIR acceptance ratios:
 #   * BM_PlanIRChoiceHeavy >= 2x BM_TreeChoiceHeavy (record/choice-heavy
-#     conversion, bytecode VM vs. tree interpreter), and
+#     conversion, PlanIR engine vs. tree interpreter), and
 #   * BM_FusedConvertMarshal beating BM_ConvertThenMarshal (fused
 #     convert-to-wire vs. two-phase convert + encode).
 #
 # bench/BENCH_native.json documents the zero-copy native marshaler and
-# the engine tiers above it:
-#   * BM_MarshalNativeZeroCopy >= 3x BM_MarshalTwoPhaseFromHeap (the
+# the compiled stubs above it:
+#   * BM_MarshalNativeThreaded >= 3x BM_MarshalTwoPhaseFromHeap (the
 #     acceptance ratio) with block_copies >= 1 (the byte-wide spans
 #     collapse into BlockCopy) and allocs_per_op near zero;
-#   * BM_MarshalFusedFromValue sits between the two: fused encode but
+#   * BM_MarshalFusedThreaded sits between the two: fused encode but
 #     still fed from a materialized Value;
-#   * BM_MarshalFusedThreaded >= 1.3x BM_MarshalFusedFromValue (the
-#     bench/check_engine_tiers.sh gate): same fused program, pre-decoded
-#     computed-goto stream instead of the switch loop;
-#   * BM_MarshalNativeThreaded / BM_MarshalNativeCompiled show the rest
-#     of the ladder down to a dlopen'd C stub (the compiled row needs a
-#     host cc and is skipped without one).
+#   * BM_MarshalNativeCompiled >= 3x BM_MarshalNativeThreaded: a dlopen'd
+#     C stub over the same program (needs a host cc; skipped without one).
+#     bench/check_engine_tiers.sh gates both 3x rungs in CI.
 #
 # bench/BENCH_compare.json documents the cross-pair cache:
 #   * BM_CompareClassesSoloPairs is the no-cache baseline;

@@ -56,8 +56,8 @@ std::string shell_quote(const std::string& s) {
 }
 
 /// Generated source for the program, or "" when the generator rejects it
-/// (LoadOpaque / LoadEnum / ranges beyond 64 bits — the interpreter tiers
-/// own those).
+/// (LoadOpaque / LoadEnum / ranges beyond 64 bits — the engine owns
+/// those).
 std::string source_of(const planir::Program& prog) {
   if (prog.mode != planir::Program::Mode::NativeMarshal) return {};
   try {

@@ -1,5 +1,5 @@
-// Compiled-stub cache: the Compiled tier of the engine ladder (DESIGN.md
-// §4j).
+// Compiled-stub cache: the compiled executor next to the PlanIR engine
+// (DESIGN.md §4j).
 //
 // A native-marshal program that generate_native_marshaler can express (no
 // LoadOpaque / LoadEnum, ranges within 64 bits) is piped through the host C
@@ -17,7 +17,7 @@
 // racing on one key both end up with a valid object.
 //
 // get() returns nullptr for ineligible programs, a missing toolchain, or a
-// failed compile — callers fall back to the threaded/VM tier. Failures are
+// failed compile — callers fall back to the engine. Failures are
 // negatively cached per key to keep the fallback cheap.
 #pragma once
 
@@ -83,7 +83,7 @@ class StubCache {
 
   /// Compile-or-load the stub for a native-marshal program. Returns nullptr
   /// when the program is ineligible for direct compilation or the toolchain
-  /// fails; the caller falls back to an interpreted tier.
+  /// fails; the caller falls back to the engine.
   [[nodiscard]] std::shared_ptr<const CompiledStub> get(
       const planir::Program& prog);
 

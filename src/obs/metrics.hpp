@@ -6,9 +6,9 @@
 //     thread-sharded cache line. rpc::NodeStats, CrossCache::Stats and
 //     wire::BufferPool mirror into them unconditionally, so `mbird stats`
 //     and the batch report see traffic even without --metrics.
-//   * Histograms and the per-call PlanVm metrics are gated behind
+//   * Histograms and the per-call PlanIR engine metrics are gated behind
 //     metrics_on(): one relaxed load + branch when disabled, so the
-//     ~260ns zero-copy marshal path stays within the <2% overhead budget
+//     ~40ns zero-copy marshal path stays within the <2% overhead budget
 //     (bench/BENCH_obs.json). --trace/--metrics and `mbird batch` flip
 //     the gate on.
 //
@@ -34,7 +34,7 @@ uint64_t now_ns();
 // Small dense per-thread id; used to pick counter shards and trace tids.
 uint32_t thread_index();
 
-// Runtime gate for the timed/per-call tier (histograms, PlanVm op counts,
+// Runtime gate for the timed/per-call tier (histograms, engine op counts,
 // rpc call spans' duration notes). Off by default.
 bool metrics_on();
 void set_metrics_on(bool on);

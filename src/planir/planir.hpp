@@ -27,8 +27,8 @@
 // require_valid): every operand in range, skeletons well-formed, tries
 // acyclic, and no unguarded cycles (a plan cycle that consumes no input —
 // all empty source paths — would loop forever; cycles through a list
-// element or a non-empty path terminate on finite values). The VM
-// (runtime/vm.hpp) refuses unverified programs.
+// element or a non-empty path terminate on finite values). The engine
+// (runtime/threaded.hpp) refuses unverified programs.
 #pragma once
 
 #include <cstdint>
@@ -169,7 +169,8 @@ struct Program {
 
   // Native-marshal mode only: per-op image access descriptors plus the
   // layout they were compiled against. The verifier bounds-checks every
-  // slot against src_layout->size so the VM can read without re-checking.
+  // slot against src_layout->size so the engine can read without
+  // re-checking.
   struct NativeSlot {
     enum Flag : uint32_t { kSigned = 1, kBool = 2 };
     uint32_t src_off = 0;      // absolute byte offset into the image
@@ -247,7 +248,7 @@ class IrError : public MbError {
 /// layout and the destination fall back to LoadOpaque (materialize the
 /// subtree Value, run the embedded convert program, wire::encode), so
 /// output is byte-identical to read-native → convert → encode by
-/// construction. The VM additionally replays every read-time check
+/// construction. The engine additionally replays every read-time check
 /// (annotated ranges, enum membership) up front, so the fused path fails
 /// exactly where the two-phase path fails — even on fields the plan drops.
 [[nodiscard]] Program compile_native_marshal(
@@ -267,7 +268,7 @@ class IrError : public MbError {
 
 /// Deeper, graph-aware pass: additionally walks the source Mtype alongside
 /// the program and flags field/arm paths that don't descend real Record
-/// children / Choice arms (IrFault::BadPath). Advisory — the VM only
+/// children / Choice arms (IrFault::BadPath). Advisory — the engine only
 /// requires the structural pass.
 [[nodiscard]] std::vector<VerifyIssue> verify_paths(const Program& p,
                                                     const mtype::Graph& src_graph,

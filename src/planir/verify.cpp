@@ -284,7 +284,7 @@ class Checker {
 
   /// Scalar loads must agree with the layout node they claim to read: same
   /// offset and width, and a kind the opcode can interpret. This keeps the
-  /// VM's unchecked heap access honest.
+  /// engine's unchecked heap access honest.
   void check_slot_node(uint32_t i, const Program::NativeSlot& s,
                        std::initializer_list<runtime::ImageLayout::K> kinds) {
     const runtime::ImageLayout::Node& n = p_.src_layout->nodes[s.layout_node];
@@ -485,8 +485,8 @@ class Checker {
   /// An instruction cycle is "guarded" when some edge on it consumes input:
   /// a non-empty source path (descends into a strictly smaller sub-value) or
   /// a list element. A cycle of only empty-path edges would convert the same
-  /// value forever — the tree walker dies at its depth limit; the VM rejects
-  /// the program up front instead.
+  /// value forever — the tree walker dies at its depth limit; the engine
+  /// rejects the program up front instead.
   void check_unguarded_cycles() {
     std::vector<std::vector<uint32_t>> lazy_edges(p_.code.size());
     for (uint32_t i = 0; i < p_.code.size(); ++i) {

@@ -8,7 +8,6 @@
 #include "obs/trace.hpp"
 #include "planir/planir.hpp"
 #include "runtime/layout.hpp"
-#include "runtime/vm.hpp"
 #include "support/error.hpp"
 
 namespace mbird::rpc {
@@ -60,6 +59,11 @@ uint64_t Node::open_port(const Graph* g, Ref msg_type,
 }
 
 void Node::close_port(uint64_t port) { ports_.erase(port); }
+
+bool Node::is_once_port(uint64_t port) const {
+  auto it = ports_.find(port);
+  return it != ports_.end() && it->second.once;
+}
 
 void Node::connect(uint16_t peer, std::shared_ptr<transport::Link> link) {
   peers_[peer].link = std::move(link);
@@ -819,131 +823,96 @@ Value call_method(Node& client, uint64_t obj_port, const Graph& g,
 
 namespace {
 
-/// Compiled programs for one PortMap node's message plan, filled lazily the
-/// first time a proxy for that node is created. `convert` serves proxies
-/// whose original port is local; `marshal` is the fused convert+encode
-/// program for remote originals. Shared (by shared_ptr) across every proxy
-/// an adapter spawns, including nested ones.
-struct ProxyPrograms {
+/// One engine per PortMap node and direction, built the first time a proxy
+/// for that node needs it: `convert` serves proxies whose original port is
+/// local; `marshal` runs the fused convert+encode program for remote
+/// originals. Shared (by shared_ptr) across every proxy an adapter spawns,
+/// including nested ones. Node handlers deliver on one thread, matching the
+/// engine's single-thread contract.
+struct ProxyEngines {
   struct Entry {
-    std::shared_ptr<const planir::Program> convert;
-    std::shared_ptr<const planir::Program> marshal;
-    // Specialized executor over `marshal`, built once per portmap when the
-    // engine tier is above Vm (a PlanVm per delivered message re-verifies
-    // the program every time; the engine verifies and pre-decodes once).
-    // Node handlers deliver on one thread, matching the engine's
-    // single-thread contract.
-    std::shared_ptr<const runtime::ThreadedEngine> threaded;
+    std::unique_ptr<const runtime::ThreadedEngine> convert;
+    std::unique_ptr<const runtime::ThreadedEngine> marshal;
   };
   std::map<plan::PlanRef, Entry> by_portmap;
 };
 
-runtime::PortAdapter adapter_with_cache(Node& node, const plan::PlanGraph& plans,
-                                        const Graph& left, const Graph& right,
-                                        std::shared_ptr<ProxyPrograms> cache) {
-  return [&node, &plans, &left, &right,
-          cache = std::move(cache)](uint64_t src_port,
-                                    plan::PlanRef portmap_ref) -> uint64_t {
-    const plan::PlanNode& pm = plans.at(portmap_ref);
-    const Graph& dst_graph = pm.port_dst_in_left ? left : right;
-    const Graph& src_graph = pm.port_src_in_left ? left : right;
-    Ref dst_msg = pm.port_dst_msg;
-    Ref src_msg = pm.port_src_msg;
-    plan::PlanRef msg_plan = pm.inner;
+uint64_t open_proxy(Node& node, const plan::PlanGraph& plans, const Graph& left,
+                    const Graph& right,
+                    const std::shared_ptr<ProxyEngines>& cache,
+                    uint64_t src_port, plan::PlanRef portmap_ref) {
+  const plan::PlanNode& pm = plans.at(portmap_ref);
+  const Graph& dst_graph = pm.port_dst_in_left ? left : right;
+  const Graph& src_graph = pm.port_src_in_left ? left : right;
+  const Ref src_msg = pm.port_src_msg;
 
-    // The proxy accepts dst-shaped messages, converts them back to the
-    // src shape (contravariance), and forwards to the original port. When
-    // the original port is remote, the forwarded message would be encoded
-    // for the wire anyway, so run the fused convert+marshal program and
-    // hand the bytes straight to the reliability layer — the src-shaped
-    // Value is never materialized.
-    bool remote = !node.is_local(src_port);
-    ProxyPrograms::Entry& entry = cache->by_portmap[portmap_ref];
-    if (remote && !entry.marshal) {
-      entry.marshal = std::make_shared<const planir::Program>(
-          planir::compile_marshal(plans, msg_plan, src_graph, src_msg));
-    }
-    if (!remote && !entry.convert) {
-      entry.convert = std::make_shared<const planir::Program>(
-          planir::compile(plans, msg_plan));
-    }
-    if (remote && !entry.threaded &&
-        runtime::engine_tier() != runtime::EngineTier::Vm) {
-      try {
-        entry.threaded = std::make_shared<const runtime::ThreadedEngine>(
-            entry.marshal, adapter_with_cache(node, plans, left, right, cache));
-      } catch (const planir::IrError&) {
-        // Too large to specialize: the PlanVm path below still serves it.
-      }
-    }
-    std::shared_ptr<const planir::Program> prog =
-        remote ? entry.marshal : entry.convert;
-
-    // Conversions of those messages may themselves contain ports, so the
-    // proxy's VM carries this same adapter recursively (sharing the
-    // program cache).
-    return node.open_port(
-        &dst_graph, dst_msg,
-        [&node, &plans, &left, &right, cache, src_port, src_msg, &src_graph,
-         prog = std::move(prog), engine = entry.threaded,
-         remote](const Value& v) {
-          if (remote) {
-            std::vector<uint8_t> buf = node.buffer_pool().acquire();
-            if (engine) {
-              engine->marshal_into(v, buf);
-            } else {
-              runtime::PlanVm vm(
-                  *prog, adapter_with_cache(node, plans, left, right, cache));
-              vm.marshal_into(v, buf);
-            }
-            node.send_marshaled(src_port, std::move(buf));
-          } else {
-            runtime::PlanVm vm(
-                *prog, adapter_with_cache(node, plans, left, right, cache));
-            node.send(src_port, src_graph, src_msg, vm.apply(v));
-          }
+  // The proxy accepts dst-shaped messages, converts them back to the src
+  // shape (contravariance), and forwards to the original port. When the
+  // original port is remote, the forwarded message would be encoded for
+  // the wire anyway, so run the fused convert+marshal program and hand the
+  // bytes straight to the reliability layer — the src-shaped Value is
+  // never materialized.
+  const bool remote = !node.is_local(src_port);
+  ProxyEngines::Entry& entry = cache->by_portmap[portmap_ref];
+  auto& slot = remote ? entry.marshal : entry.convert;
+  if (!slot) {
+    auto prog = std::make_shared<const planir::Program>(
+        remote ? planir::compile_marshal(plans, pm.inner, src_graph, src_msg)
+               : planir::compile(plans, pm.inner));
+    // Messages may themselves carry ports, so the engine wraps them with
+    // this same adapter. It holds the cache weakly: the cache owns the
+    // engine, and an engine only runs inside a proxy handler, which holds
+    // the cache.
+    std::weak_ptr<ProxyEngines> weak = cache;
+    slot = std::make_unique<const runtime::ThreadedEngine>(
+        std::move(prog),
+        [&node, &plans, &left, &right, weak](uint64_t port,
+                                             plan::PlanRef pm_ref) {
+          return open_proxy(node, plans, left, right, weak.lock(), port,
+                            pm_ref);
         });
-  };
+  }
+  const runtime::ThreadedEngine* engine = slot.get();
+  return node.open_port(
+      &dst_graph, pm.port_dst_msg,
+      [&node, cache, engine, src_port, &src_graph, src_msg,
+       remote](const Value& v) {
+        if (remote) {
+          std::vector<uint8_t> buf = node.buffer_pool().acquire();
+          engine->marshal_into(v, buf);
+          node.send_marshaled(src_port, std::move(buf));
+        } else {
+          node.send(src_port, src_graph, src_msg, engine->apply(v));
+        }
+      },
+      /*once=*/!remote && node.is_once_port(src_port));
 }
 
 }  // namespace
 
 runtime::PortAdapter make_port_adapter(Node& node, const plan::PlanGraph& plans,
                                        const Graph& left, const Graph& right) {
-  return adapter_with_cache(node, plans, left, right,
-                            std::make_shared<ProxyPrograms>());
+  return [&node, &plans, &left, &right,
+          cache = std::make_shared<ProxyEngines>()](uint64_t src_port,
+                                                    plan::PlanRef portmap_ref) {
+    return open_proxy(node, plans, left, right, cache, src_port, portmap_ref);
+  };
 }
 
 NativeStub::NativeStub(Node& node, const plan::PlanGraph& plans,
                        plan::PlanRef root, const mtype::Graph& dst_graph,
                        mtype::Ref dst_msg,
                        std::shared_ptr<const runtime::ImageLayout> layout,
-                       runtime::PortAdapter port_adapter,
+                       Tier tier, runtime::PortAdapter port_adapter,
                        runtime::CustomRegistry custom)
     : node_(node),
-      prog_(std::make_shared<const planir::Program>(planir::compile_native_marshal(
-          plans, root, dst_graph, dst_msg, std::move(layout)))),
-      vm_(*prog_, port_adapter, custom) {
-  // Snapshot the process tier now; degrade quietly where a tier cannot
-  // serve this program (the VM member above always can).
-  runtime::EngineTier tier = runtime::engine_tier();
-  if (tier != runtime::EngineTier::Vm) {
-    try {
-      threaded_ = std::make_unique<const runtime::ThreadedEngine>(
-          prog_, std::move(port_adapter), std::move(custom));
-    } catch (const planir::IrError&) {
-      tier = runtime::EngineTier::Vm;
-    }
+      engine_(std::make_shared<const planir::Program>(
+                  planir::compile_native_marshal(plans, root, dst_graph,
+                                                 dst_msg, std::move(layout))),
+              std::move(port_adapter), std::move(custom)) {
+  if (tier == Tier::Compiled) {
+    stub_ = codegen::StubCache::process().get(engine_.program());
   }
-  if (tier == runtime::EngineTier::Compiled) {
-    stub_ = codegen::StubCache::process().get(*prog_);
-  }
-}
-
-runtime::EngineTier NativeStub::tier() const {
-  if (stub_) return runtime::EngineTier::Compiled;
-  if (threaded_) return runtime::EngineTier::Threaded;
-  return runtime::EngineTier::Vm;
 }
 
 void NativeStub::send(uint64_t dest_port, const runtime::NativeHeap& heap,
@@ -960,15 +929,11 @@ void NativeStub::send_streaming(uint64_t dest_port,
     return;
   }
   // Compiled stubs write one contiguous output buffer, so the Compiled tier
-  // cannot stream; degrade to the threaded/vm chunked marshal (same bytes,
-  // same fault ordering).
+  // cannot stream; use the engine's chunked marshal (same bytes, same fault
+  // ordering).
   node_.send_chunked(
       dest_port, [&](size_t max_piece, const runtime::PieceSink& emit) {
-        if (threaded_) {
-          threaded_->marshal_native_chunked(heap, addr, max_piece, emit);
-        } else {
-          vm_.marshal_native_chunked(heap, addr, max_piece, emit);
-        }
+        engine_.marshal_native_chunked(heap, addr, max_piece, emit);
       });
 }
 
@@ -984,7 +949,7 @@ void NativeStub::marshal_into(const runtime::NativeHeap& heap, uint64_t addr,
   if (stub_) {
     // One bounds probe covers the whole image (the verifier pins every
     // stub access inside the layout); the stub then runs check-free.
-    uint64_t img_size = prog_->src_layout->size;
+    uint64_t img_size = engine_.program().src_layout->size;
     const uint8_t* img = img_size != 0 ? heap.at(addr, img_size) : nullptr;
     size_t mark = out.size();
     out.resize(mark + stub_->wire_size());
@@ -994,15 +959,11 @@ void NativeStub::marshal_into(const runtime::NativeHeap& heap, uint64_t addr,
       return;
     }
     // The stub signals a marshaling fault without the message; re-run on
-    // the interpreter tier, which performs the same checks in the same
-    // order and throws the precise typed error.
+    // the engine, which performs the same checks in the same order and
+    // throws the precise typed error.
     out.resize(mark);
   }
-  if (threaded_) {
-    threaded_->marshal_native_into(heap, addr, out);
-    return;
-  }
-  vm_.marshal_native_into(heap, addr, out);
+  engine_.marshal_native_into(heap, addr, out);
 }
 
 }  // namespace mbird::rpc

@@ -9,8 +9,8 @@
 // On top of raw ports, helpers implement the paper's function model —
 // a function reference is port(Record(Inputs, port(Outputs))) — and the
 // object model port(Choice(m1..mn)). make_port_adapter() lets the plan
-// interpreter wrap ports contravariantly when conversions cross the
-// network (the PortMap op).
+// engine wrap ports contravariantly when conversions cross the network
+// (the PortMap op).
 //
 // Everything is single-threaded and pump-driven for determinism; pump()
 // cycles a set of nodes until quiescence.
@@ -38,10 +38,8 @@
 #include "plan/plan.hpp"
 #include "planir/planir.hpp"
 #include "runtime/convert.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/threaded.hpp"
 #include "runtime/value.hpp"
-#include "runtime/vm.hpp"
 #include "transport/link.hpp"
 #include "wire/bufferpool.hpp"
 #include "wire/wire.hpp"
@@ -111,6 +109,8 @@ class Node {
                      bool once = false);
   void close_port(uint64_t port);
   [[nodiscard]] size_t open_port_count() const { return ports_.size(); }
+  /// True when `port` is an open once-port on this node.
+  [[nodiscard]] bool is_once_port(uint64_t port) const;
 
   /// Connect a link toward a peer node.
   void connect(uint16_t peer, std::shared_ptr<transport::Link> link);
@@ -125,7 +125,8 @@ class Node {
   void send(uint64_t dest_port, const mtype::Graph& g, mtype::Ref msg_type,
             const Value& v);
 
-  /// Send pre-encoded wire bytes (e.g. from PlanVm::marshal) to a port.
+  /// Send pre-encoded wire bytes (e.g. from ThreadedEngine::marshal) to a
+  /// port.
   /// Remote destinations frame the payload directly — no intermediate Value
   /// is ever built. Local destinations decode against the port's registered
   /// type and queue the Value (an unknown local port counts an
@@ -370,18 +371,22 @@ struct CallOptions {
 /// All referenced objects (node, dst_graph, layout target) must outlive the
 /// stub.
 ///
-/// The stub snapshots the process engine tier (runtime::engine_tier) at
-/// construction: Vm runs the switch PlanVm, Threaded the direct-threaded
-/// engine, Compiled a dlopen'd C stub from codegen::StubCache. Higher tiers
-/// degrade automatically — an ineligible program or missing toolchain drops
-/// Compiled to Threaded, and a compiled stub that hits a marshaling fault
-/// re-runs the image on the interpreter tier so the caller always sees the
-/// same typed error the VM would throw.
+/// The stub always holds a runtime::ThreadedEngine over the program. Asked
+/// for Tier::Compiled, it also loads a dlopen'd C stub from
+/// codegen::StubCache and marshals through that; an ineligible program or a
+/// missing toolchain leaves it on the engine, and a compiled stub that hits
+/// a marshaling fault re-runs the image on the engine so the caller always
+/// sees the precise typed error.
 class NativeStub {
  public:
+  /// Which executor marshals: the engine, or a compiled stub where one can
+  /// be built.
+  enum class Tier : unsigned char { Threaded, Compiled };
+
   NativeStub(Node& node, const plan::PlanGraph& plans, plan::PlanRef root,
              const mtype::Graph& dst_graph, mtype::Ref dst_msg,
              std::shared_ptr<const runtime::ImageLayout> layout,
+             Tier tier = Tier::Threaded,
              runtime::PortAdapter port_adapter = {},
              runtime::CustomRegistry custom = {});
 
@@ -393,8 +398,8 @@ class NativeStub {
   /// Streaming variant of send(): marshal through the chunked engine path
   /// so remote sends of multi-MB images emit bounded CHUNK frames instead
   /// of staging one contiguous payload. The Compiled tier (contiguous
-  /// dlopen'd stubs) degrades to the threaded/vm chunked marshal here;
-  /// local destinations fall back to the plain path.
+  /// dlopen'd stubs) degrades to the engine's chunked marshal here; local
+  /// destinations fall back to the plain path.
   void send_streaming(uint64_t dest_port, const runtime::NativeHeap& heap,
                       uint64_t addr);
 
@@ -406,27 +411,32 @@ class NativeStub {
                     std::vector<uint8_t>& out) const;
 
   /// The compiled native-marshal program (e.g. to count BlockCopy ops).
-  [[nodiscard]] const planir::Program& program() const { return *prog_; }
+  [[nodiscard]] const planir::Program& program() const {
+    return engine_.program();
+  }
   /// The tier this stub actually runs (after automatic degradation).
-  [[nodiscard]] runtime::EngineTier tier() const;
+  [[nodiscard]] Tier tier() const {
+    return stub_ ? Tier::Compiled : Tier::Threaded;
+  }
 
  private:
   Node& node_;
-  std::shared_ptr<const planir::Program> prog_;
-  runtime::PlanVm vm_;
-  std::unique_ptr<const runtime::ThreadedEngine> threaded_;  // non-Vm tiers
-  std::shared_ptr<const codegen::CompiledStub> stub_;        // Compiled tier
+  runtime::ThreadedEngine engine_;
+  std::shared_ptr<const codegen::CompiledStub> stub_;  // Compiled tier
 };
 
-/// A PortAdapter for runtime::Converter/PlanVm that realizes PortMap ops as
-/// converting proxy ports on `node`. `left`/`right` are the two graphs the
-/// plan's port_*_in_left flags refer to (the comparison's first and second
-/// graphs). Message plans are lowered to PlanIR once per PortMap node and
-/// cached for the adapter's lifetime; proxies forwarding to a remote port
-/// use the fused convert+marshal program, so dst-shaped messages become
-/// src-shaped wire bytes without materializing the converted Value. The
-/// adapter owns only its program cache; all referenced objects must outlive
-/// the converted values.
+/// A PortAdapter for runtime::Converter or a runtime::ThreadedEngine that
+/// realizes PortMap ops as converting proxy ports on `node`. `left`/`right`
+/// are the two graphs the plan's port_*_in_left flags refer to (the
+/// comparison's first and second graphs). Each PortMap node's message plan
+/// is lowered to PlanIR and loaded into an engine once, on the first proxy
+/// that needs it, and cached for as long as the adapter or any of its
+/// proxies lives; proxies forwarding to a remote port use the fused
+/// convert+marshal program, so dst-shaped messages become src-shaped wire
+/// bytes without materializing the converted Value. A proxy standing in
+/// for a local once-port (a call's reply port) is itself a once-port, so
+/// per-call proxies close after their reply. All referenced objects must
+/// outlive the converted values.
 [[nodiscard]] runtime::PortAdapter make_port_adapter(
     Node& node, const plan::PlanGraph& plans, const mtype::Graph& left,
     const mtype::Graph& right);

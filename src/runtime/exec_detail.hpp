@@ -1,15 +1,14 @@
-// Shared executor internals of the PlanIR runtimes.
+// Shared executor internals of the PlanIR runtime (exec_detail.cpp).
 //
-// The switch-dispatch PlanVm (vm.cpp) and the direct-threaded engine
-// (threaded.cpp) must agree bit-for-bit on results AND on typed error
-// messages — the differential suites compare both verbatim. The helpers
-// every executor needs (path walks, choice dispatch, list chain
-// materialization, custom lookup, the convert-mode interpreter used for
-// opaque fallbacks) therefore live in one place instead of being
-// re-implemented per tier.
+// The engine (threaded.cpp) must agree bit-for-bit with the tree
+// interpreter (runtime::Converter) on results AND on typed error messages —
+// the differential suites compare them verbatim. The helpers it needs in
+// every mode (path walks, choice dispatch, list chain materialization,
+// custom lookup) and the convert-mode interpreter (convert programs and the
+// opaque fallbacks of both marshal modes) therefore live in one place.
 //
-// Everything here is an internal contract between the executors; it is not
-// part of the public runtime API.
+// Everything here is an internal contract of the runtime; it is not part
+// of the public runtime API.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +57,16 @@ const std::vector<Value>& list_elems(const Value& v,
 const std::function<Value(const Value&)>& find_custom(
     const CustomRegistry& customs, const std::string& name);
 
-/// The convert-mode interpreter, runnable from any entry point. Opaque
-/// fallbacks (EmitOpaque / LoadOpaque / EmitCustom re-encode) in every
-/// marshal tier funnel through this, so fallback subtrees behave
-/// identically across tiers by construction.
+/// The convert-mode interpreter, runnable from any entry point: an
+/// explicit work stack, so conversion depth is bounded by memory, not the
+/// C++ stack. ThreadedEngine::apply runs convert programs through it, and
+/// the opaque fallbacks (EmitOpaque / LoadOpaque) of both marshal modes
+/// funnel through it too, so fallback subtrees convert exactly like the
+/// convert mode by construction.
 Value run_convert(const planir::Program& prog, uint32_t entry, const Value& in,
                   const PortAdapter& adapter, const CustomRegistry& customs);
 
-/// Segmentation state threaded through the marshal executors in chunked
+/// Segmentation state threaded through the marshal streams in chunked
 /// mode: the executor writes into a scratch buffer and drain() ships
 /// exactly-`max`-byte prefixes out through `emit`, keeping the resident
 /// buffer bounded by one piece plus the largest single write (big writes

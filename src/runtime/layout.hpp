@@ -136,9 +136,9 @@ void check_image_ranges(const ImageLayout& il, const NativeHeap& heap,
                         uint64_t base);
 
 /// One node's worth of check_image_ranges: annotated integer range or enum
-/// membership for `node`, nothing for other kinds. The threaded engine's
-/// vectorized prologue re-runs failing runs through this scalar path so
-/// every tier throws the same error at the same field.
+/// membership for `node`, nothing for other kinds. The engine's vectorized
+/// prologue re-runs failing runs through this scalar path so it throws the
+/// same error at the same field as read_image.
 void check_image_range_node(const ImageLayout& il, uint32_t node,
                             const NativeHeap& heap, uint64_t base);
 

@@ -10,12 +10,6 @@
 #include "support/error.hpp"
 #include "wire/wire.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define MBIRD_THREADED_GOTO 1
-#else
-#define MBIRD_THREADED_GOTO 0
-#endif
-
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #define MBIRD_SIMD_SSE2 1
@@ -33,7 +27,12 @@ using planir::Program;
 
 namespace {
 
+// Registry instruments (DESIGN.md §4h); the `planvm.` prefix predates the
+// engine being the only interpreter and is kept so dashboards and the
+// repository benchmark keep reading the same names.
 struct TeMetrics {
+  obs::Counter& converts = obs::counter("planvm.converts");
+  obs::Histogram& convert_ns = obs::histogram("planvm.convert_ns");
   obs::Counter& marshals = obs::counter("planvm.threaded.marshals");
   obs::Counter& marshals_native = obs::counter("planvm.threaded.marshals_native");
   obs::Histogram& marshal_ns = obs::histogram("planvm.threaded.marshal_ns");
@@ -65,7 +64,8 @@ enum class TOp : uint16_t {
   MReturn,
   MListBegin,
   MChoice,
-  // Native-marshal mode (flat stream, raw image loads).
+  // Native-marshal mode (raw image loads; shared segments via a return
+  // stack).
   NIntU,
   NIntS,
   NBool,
@@ -77,6 +77,8 @@ enum class TOp : uint16_t {
   NBlockCopy,
   NConstBytes,
   NOpaque,
+  NCall,
+  NReturn,
   kCount,
 };
 constexpr size_t kTOpCount = static_cast<size_t>(TOp::kCount);
@@ -151,6 +153,15 @@ struct OutBuf {
   void commit() { v.resize(w); }
 };
 
+/// Append wire::encode(v) as dst_types[dst]: the tail of the custom and
+/// opaque ops, whose encoded bytes come from the generic encoder.
+void emit_encoded(OutBuf& o, const Program& prog, uint32_t dst,
+                  const Value& v) {
+  const std::vector<uint8_t> bytes =
+      wire::encode(*prog.dst_graph, prog.dst_types[dst], v);
+  o.raw(bytes.data(), bytes.size());
+}
+
 [[noreturn]] void range_fault(Int128 x, Int128 lo, Int128 hi) {
   throw ConversionError("integer " + to_string(x) + " outside target range [" +
                         to_string(lo) + ".." + to_string(hi) + "]");
@@ -162,7 +173,7 @@ struct OutBuf {
 }  // namespace
 
 struct ThreadedEngine::Op {
-  const void* label = nullptr;  // computed-goto target (switch builds: null)
+  const void* label = nullptr;  // computed-goto target
   TOp code = TOp::Halt;
   uint32_t plen = 0;            // fused path length
   uint32_t poff = 0;            // offset into path_pool_
@@ -185,25 +196,26 @@ struct ThreadedEngine::CheckItem {
   uint32_t pool = 0;  // run: offset into simd_lo_/simd_hi_/check_nodes_
 };
 
-// ---- marshal-mode specialization --------------------------------------------
+// ---- specialization ---------------------------------------------------------
 //
-// Flattens the instruction graph into a linear stream. Records and extracts
-// inline with fused (concatenated) source paths — follow() composes, so
-// follow(follow(v, p1), p2) walks, errs, and results exactly like the VM's
-// two-step EmitField chain. Each instruction may inline a bounded number of
-// times (and to a bounded C++ build depth); past that it becomes a shared
-// segment invoked via MCallSeg, which keeps the stream linear in the
-// program size and makes verified guarded cycles terminate at run time just
-// as they do on the VM's work stack. Lists and choice arms always run as
-// segments; one MReturn op serves segment calls and list-element iteration
-// through a unified frame.
-struct ThreadedEngine::MarshalBuild {
+// Flattens the instruction graph into a linear stream. In marshal mode,
+// records and extracts inline with fused (concatenated) source paths —
+// follow() composes, so follow(follow(v, p1), p2) walks, errs, and results
+// exactly like the two-step field walk of run_convert. In native mode,
+// NativeSeq children inline in order, which is the read order of the image.
+// Each instruction may inline at most kInlineLimit times (and to a bounded
+// C++ build depth); past that it becomes a shared segment invoked via
+// MCallSeg / NCall, which keeps the stream linear in the program size and
+// makes verified guarded cycles terminate at run time. Lists and choice
+// arms always run as segments; one MReturn op serves segment calls and
+// list-element iteration through a unified frame.
+struct ThreadedEngine::StreamBuild {
   static constexpr uint32_t kInlineLimit = 4;
   static constexpr uint32_t kMaxDepth = 512;
-  static constexpr size_t kMaxOps = size_t{1} << 20;
 
   const Program& p;
   ThreadedEngine& e;
+  size_t budget = 0;              // the stream's linear bound, see below
   std::vector<uint32_t> seg_of;   // instr -> queue position + 1 (0 = none)
   std::vector<uint32_t> pending;  // instrs that need a segment
   std::vector<uint32_t> seg_pc;   // parallel to pending, patched in run()
@@ -212,14 +224,30 @@ struct ThreadedEngine::MarshalBuild {
   std::vector<uint32_t> inline_used;                     // per instr
   uint32_t ic_slots = 0;
 
-  MarshalBuild(const Program& prog, ThreadedEngine& eng)
+  StreamBuild(const Program& prog, ThreadedEngine& eng)
       : p(prog), e(eng), seg_of(prog.code.size(), 0),
-        inline_used(prog.code.size(), 0) {}
+        inline_used(prog.code.size(), 0) {
+    // Every instruction body is expanded at most kInlineLimit + 2 times
+    // (its inlined copies, the entry, its own segment). Each expansion
+    // emits one child per field, and each child costs at most two ops (a
+    // leaf, a call, or a record's enter/leave pair). Segments add one
+    // return op each, the stream one Halt.
+    size_t fanout = 0;
+    for (const planir::Instr& ins : p.code) {
+      if (ins.op == OpCode::EmitRecord || ins.op == OpCode::NativeSeq) {
+        fanout += p.records[ins.a].fields_len;
+      } else if (ins.op == OpCode::EmitExtract) {
+        fanout += 1;
+      }
+    }
+    budget = 2 * ((kInlineLimit + 2) * fanout + p.code.size() + 1) +
+             p.code.size() + 1;
+  }
 
   Op& push(TOp code) {
-    if (e.ops_.size() >= kMaxOps) {
+    if (e.ops_.size() >= budget) {
       throw IrError(IrFault::OperandRange,
-                    "threaded: flattened marshal stream exceeds op budget");
+                    "threaded: flattened stream exceeds its linear bound");
     }
     e.ops_.emplace_back();
     Op& op = e.ops_.back();
@@ -243,13 +271,24 @@ struct ThreadedEngine::MarshalBuild {
     return slot - 1;
   }
 
+  /// Whether `idx` inlines here; false means emit a call to its segment.
+  bool inline_here(uint32_t idx, bool root, uint32_t depth) {
+    return root || (++inline_used[idx] <= kInlineLimit && depth < kMaxDepth);
+  }
+
+  Op& call(TOp code, uint32_t idx) {
+    Op& op = push(code);
+    patches.emplace_back(e.ops_.size() - 1, seg_ref(idx));
+    return op;
+  }
+
   void emit(uint32_t idx, const std::vector<uint32_t>& prefix, bool root,
             uint32_t depth) {
     const planir::Instr& ins = p.code[idx];
     switch (ins.op) {
       case OpCode::EmitNothing:
-        // The VM still walks the field path before doing nothing; keep the
-        // walk (and its possible error) with a path-only op.
+        // run_convert still walks the field path before doing nothing;
+        // keep the walk (and its possible error) with a path-only op.
         if (!prefix.empty()) set_path(push(TOp::MUnit), prefix);
         break;
       case OpCode::EmitInt: {
@@ -295,12 +334,9 @@ struct ThreadedEngine::MarshalBuild {
         op.b = ins.b;
         break;
       }
-      case OpCode::EmitList: {
-        Op& op = push(TOp::MListBegin);
-        set_path(op, prefix);
-        patches.emplace_back(e.ops_.size() - 1, seg_ref(ins.a));
+      case OpCode::EmitList:
+        set_path(call(TOp::MListBegin, ins.a), prefix);
         break;
-      }
       case OpCode::EmitChoice: {
         Op& op = push(TOp::MChoice);
         set_path(op, prefix);
@@ -313,10 +349,8 @@ struct ThreadedEngine::MarshalBuild {
         break;
       }
       case OpCode::EmitRecord: {
-        if (!root && (++inline_used[idx] > kInlineLimit || depth >= kMaxDepth)) {
-          Op& op = push(TOp::MCallSeg);
-          set_path(op, prefix);
-          patches.emplace_back(e.ops_.size() - 1, seg_ref(idx));
+        if (!inline_here(idx, root, depth)) {
+          set_path(call(TOp::MCallSeg, idx), prefix);
           break;
         }
         bool descend = !prefix.empty();
@@ -333,10 +367,8 @@ struct ThreadedEngine::MarshalBuild {
         break;
       }
       case OpCode::EmitExtract: {
-        if (!root && (++inline_used[idx] > kInlineLimit || depth >= kMaxDepth)) {
-          Op& op = push(TOp::MCallSeg);
-          set_path(op, prefix);
-          patches.emplace_back(e.ops_.size() - 1, seg_ref(idx));
+        if (!inline_here(idx, root, depth)) {
+          set_path(call(TOp::MCallSeg, idx), prefix);
           break;
         }
         const Program::Field& f = p.fields[ins.a];
@@ -352,14 +384,93 @@ struct ThreadedEngine::MarshalBuild {
     }
   }
 
+  /// A native load op over slot `ins.a`: image offset, native width, and
+  /// the plan/wire integer ranges where the op has them.
+  Op& load(TOp code, const planir::Instr& ins) {
+    const Program::NativeSlot& s = p.natives[ins.a];
+    Op& op = push(code);
+    op.a = s.src_off;
+    op.b = s.width;
+    op.c = s.aux;  // wire width (integer loads)
+    op.lo = ins.lo;
+    op.hi = ins.hi;
+    e.needs_image_ = true;
+    return op;
+  }
+
+  void emit_native(uint32_t idx, bool root, uint32_t depth) {
+    const planir::Instr& ins = p.code[idx];
+    auto wire_range = [&](Op& op) {
+      const mtype::Node& dn = p.dst_graph->at(p.dst_types[ins.b]);
+      op.dlo = dn.lo;
+      op.dhi = dn.hi;
+    };
+    switch (ins.op) {
+      case OpCode::EmitNothing: break;
+      case OpCode::LoadInt: {
+        const uint32_t flags = p.natives[ins.a].flags;
+        wire_range(load((flags & Program::NativeSlot::kBool)     ? TOp::NBool
+                        : (flags & Program::NativeSlot::kSigned) ? TOp::NIntS
+                                                                 : TOp::NIntU,
+                        ins));
+        break;
+      }
+      case OpCode::LoadEnum: {
+        Op& op = load(TOp::NEnum, ins);
+        op.d = p.natives[ins.a].layout_node;
+        wire_range(op);
+        break;
+      }
+      case OpCode::LoadReal32: load(TOp::NReal32, ins); break;
+      case OpCode::LoadReal64: load(TOp::NReal64, ins); break;
+      case OpCode::LoadChar1: load(TOp::NChar1, ins); break;
+      case OpCode::LoadChar4: load(TOp::NChar4, ins); break;
+      case OpCode::BlockCopy: load(TOp::NBlockCopy, ins); break;
+      case OpCode::ConstBytes: {
+        Op& op = push(TOp::NConstBytes);
+        op.a = ins.a;
+        op.b = ins.b;
+        break;
+      }
+      case OpCode::NativeSeq: {
+        if (!inline_here(idx, root, depth)) {
+          call(TOp::NCall, idx);
+          break;
+        }
+        const Program::RecordTab& rt = p.records[ins.a];
+        for (uint32_t k = 0; k < rt.fields_len; ++k) {
+          emit_native(p.fields[rt.fields_off + k].op, false, depth + 1);
+        }
+        break;
+      }
+      case OpCode::LoadOpaque: {
+        Op& op = push(TOp::NOpaque);
+        op.a = ins.a;
+        op.b = ins.b;
+        break;
+      }
+      default:
+        throw IrError(IrFault::BadOpcode,
+                      std::string("threaded native hit ") + to_string(ins.op));
+    }
+  }
+
   void run() {
+    const bool native = p.mode == Program::Mode::NativeMarshal;
     const std::vector<uint32_t> empty;
-    emit(p.entry, empty, true, 0);
+    auto emit_root = [&](uint32_t idx) {
+      if (native) {
+        emit_native(idx, true, 0);
+      } else {
+        emit(idx, empty, true, 0);
+      }
+    };
+    emit_root(p.entry);
     push(TOp::Halt);
     for (size_t q = 0; q < pending.size(); ++q) {
       seg_pc[q] = static_cast<uint32_t>(e.ops_.size());
-      emit(pending[q], empty, true, 0);
-      push(TOp::MReturn);
+      emit_root(pending[q]);
+      push(native ? TOp::NReturn : TOp::MReturn);
     }
     for (const auto& [op_idx, pos] : patches) e.ops_[op_idx].a = seg_pc[pos];
     e.arm_pc_.assign(p.arms.size(), 0);
@@ -368,145 +479,13 @@ struct ThreadedEngine::MarshalBuild {
   }
 };
 
-void ThreadedEngine::build_marshal() {
-  MarshalBuild build(*prog_, *this);
-  build.run();
-}
-
-// ---- native-marshal specialization ------------------------------------------
-
-void ThreadedEngine::build_native() {
-  const Program& p = *prog_;
-  build_native_checks();
-  size_t total = 0;
-  bool dynamic = false;
-  size_t steps = 0;
-  // Same work-stack walk as the VM's run_native, but emitting ops instead
-  // of bytes — the flat stream is the VM's execution order by construction.
-  std::vector<uint32_t> work{p.entry};
-  while (!work.empty()) {
-    if (++steps > MarshalBuild::kMaxOps) {
-      throw IrError(IrFault::OperandRange,
-                    "threaded: flattened native stream exceeds op budget");
-    }
-    const planir::Instr& ins = p.code[work.back()];
-    work.pop_back();
-    switch (ins.op) {
-      case OpCode::EmitNothing: break;
-      case OpCode::LoadInt: {
-        const Program::NativeSlot& s = p.natives[ins.a];
-        const mtype::Node& dn = p.dst_graph->at(p.dst_types[ins.b]);
-        TOp code = (s.flags & Program::NativeSlot::kBool)     ? TOp::NBool
-                   : (s.flags & Program::NativeSlot::kSigned) ? TOp::NIntS
-                                                              : TOp::NIntU;
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = code;
-        op.a = s.src_off;
-        op.b = s.width;
-        op.c = s.aux;  // wire width
-        op.lo = ins.lo;
-        op.hi = ins.hi;
-        op.dlo = dn.lo;
-        op.dhi = dn.hi;
-        total += s.aux;
-        needs_image_ = true;
-        break;
-      }
-      case OpCode::LoadEnum: {
-        const Program::NativeSlot& s = p.natives[ins.a];
-        const mtype::Node& dn = p.dst_graph->at(p.dst_types[ins.b]);
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = TOp::NEnum;
-        op.a = s.src_off;
-        op.b = s.width;
-        op.c = s.aux;
-        op.d = s.layout_node;
-        op.lo = ins.lo;
-        op.hi = ins.hi;
-        op.dlo = dn.lo;
-        op.dhi = dn.hi;
-        total += s.aux;
-        needs_image_ = true;
-        break;
-      }
-      case OpCode::LoadReal32:
-      case OpCode::LoadReal64: {
-        const Program::NativeSlot& s = p.natives[ins.a];
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = ins.op == OpCode::LoadReal32 ? TOp::NReal32 : TOp::NReal64;
-        op.a = s.src_off;
-        op.b = s.width;
-        total += ins.op == OpCode::LoadReal32 ? 4 : 8;
-        needs_image_ = true;
-        break;
-      }
-      case OpCode::LoadChar1:
-      case OpCode::LoadChar4: {
-        const Program::NativeSlot& s = p.natives[ins.a];
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = ins.op == OpCode::LoadChar1 ? TOp::NChar1 : TOp::NChar4;
-        op.a = s.src_off;
-        op.b = s.width;
-        total += ins.op == OpCode::LoadChar1 ? 1 : 4;
-        needs_image_ = true;
-        break;
-      }
-      case OpCode::BlockCopy: {
-        const Program::NativeSlot& s = p.natives[ins.a];
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = TOp::NBlockCopy;
-        op.a = s.src_off;
-        op.b = s.width;
-        total += s.width;
-        needs_image_ = true;
-        break;
-      }
-      case OpCode::ConstBytes: {
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = TOp::NConstBytes;
-        op.a = ins.a;
-        op.b = ins.b;
-        total += ins.b;
-        break;
-      }
-      case OpCode::NativeSeq: {
-        const Program::RecordTab& rt = p.records[ins.a];
-        for (uint32_t k = rt.fields_len; k-- > 0;) {
-          work.push_back(p.fields[rt.fields_off + k].op);
-        }
-        break;
-      }
-      case OpCode::LoadOpaque: {
-        ops_.emplace_back();
-        Op& op = ops_.back();
-        op.code = TOp::NOpaque;
-        op.a = ins.a;
-        op.b = ins.b;
-        dynamic = true;
-        break;
-      }
-      default:
-        throw IrError(IrFault::BadOpcode,
-                      std::string("threaded native hit ") + to_string(ins.op));
-    }
-  }
-  ops_.emplace_back();
-  ops_.back().code = TOp::Halt;
-  static_size_ = dynamic ? -1 : static_cast<ptrdiff_t>(total);
-}
-
 // Lower check_image_ranges into a check plan: annotated/enum nodes stay
 // scalar items, except maximal runs of >= 16 annotated byte-wide unsigned
 // fields at consecutive offsets, which become 16-lane compare blocks over
 // per-byte [lo, hi] pools. The lowering is order-preserving (pre-order),
 // and a run whose block fails is re-run through the scalar path, so the
-// first fault is always the same node with the same message as the VM.
+// first fault is always the same node with the same message as the scalar
+// check_image_ranges that read_image runs.
 void ThreadedEngine::build_native_checks() {
   constexpr uint32_t kMinRun = 16;
   const ImageLayout& il = *prog_->src_layout;
@@ -603,7 +582,7 @@ void ThreadedEngine::run_checks(const NativeHeap& heap, uint64_t base) const {
 #endif
     if (bad) {
       // A lane failed somewhere in [i-16, i): re-run the whole run scalar
-      // in pre-order so the throw is the VM's, on the VM's first node.
+      // in pre-order so the throw is check_image_ranges', on its first node.
       ++stats_.simd_rescans;
       i = 0;
     }
@@ -615,13 +594,14 @@ void ThreadedEngine::run_checks(const NativeHeap& heap, uint64_t base) const {
 
 // ---- dispatch ---------------------------------------------------------------
 //
-// The two executors below share their op bodies between a computed-goto
-// build (GNU label values: each op jumps straight to the next op's label,
-// no central dispatch branch) and a portable switch loop, via the TE_*
-// macros. Calling an executor with `table_out` set returns the label table
-// instead of executing; the constructor binds ops_[i].label from it once.
+// Computed goto (GNU label values): each op jumps straight to the next op's
+// label, no central dispatch branch. Calling an executor with `table_out`
+// set returns its label table instead of executing; the constructor binds
+// ops_[i].label from it once. A computed goto leaves its scope without
+// running destructors, so no op body may hold an object with one across
+// TE_NEXT/TE_JUMP: temporaries die inside a full expression instead (see
+// emit_encoded).
 
-#if MBIRD_THREADED_GOTO
 #define TE_OP(name) L_##name:
 #define TE_NEXT     \
   do {              \
@@ -633,26 +613,10 @@ void ThreadedEngine::run_checks(const NativeHeap& heap, uint64_t base) const {
 #define TE_END \
   L_Bad:       \
   throw IrError(IrFault::BadOpcode, "threaded stream corrupt");
-#else
-#define TE_OP(name) case TOp::name:
-#define TE_NEXT \
-  do {          \
-    ++pc;       \
-  } while (0);  \
-  break
-#define TE_JUMP break
-#define TE_BEGIN \
-  for (;;) switch (ops[pc].code) {
-#define TE_END                                                              \
-  default:                                                                  \
-    throw IrError(IrFault::BadOpcode, "threaded stream corrupt");           \
-    }
-#endif
 
 void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* out_p,
                                         const void* const** table_out,
                                         exec::StreamCtl* stream) const {
-#if MBIRD_THREADED_GOTO
   static const void* const table[kTOpCount] = {
       &&L_Halt,    &&L_MUnit,   &&L_MInt,     &&L_MReal32, &&L_MReal64,
       &&L_MChar1,  &&L_MChar4,  &&L_MPort,    &&L_MCustom, &&L_MOpaque,
@@ -660,17 +624,11 @@ void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* o
       &&L_MListBegin, &&L_MChoice,
       // native ops never appear in a marshal stream
       &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad,
-      &&L_Bad, &&L_Bad, &&L_Bad};
+      &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad};
   if (table_out != nullptr) {
     *table_out = table;
     return;
   }
-#else
-  if (table_out != nullptr) {
-    *table_out = nullptr;
-    return;
-  }
-#endif
   const Program& prog = *prog_;
   const Op* ops = ops_.data();
   const uint32_t* paths = path_pool_.data();
@@ -749,17 +707,16 @@ void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* o
   TE_OP(MCustom) {
     const Op& op = ops[pc];
     const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
-    Value conv = exec::find_custom(customs_, prog.custom_names[op.a])(v);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    emit_encoded(o, prog, op.b,
+                 exec::find_custom(customs_, prog.custom_names[op.a])(v));
     TE_NEXT;
   }
   TE_OP(MOpaque) {
     const Op& op = ops[pc];
     const Value& v = exec::follow(*vstack.back(), paths + op.poff, op.plen);
-    Value conv = exec::run_convert(*prog.fallback, op.a, v, adapter_, customs_);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    emit_encoded(
+        o, prog, op.b,
+        exec::run_convert(*prog.fallback, op.a, v, adapter_, customs_));
     TE_NEXT;
   }
   TE_OP(MRecordEnter) {
@@ -861,24 +818,18 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
                                        std::vector<uint8_t>* out_p,
                                        const void* const** table_out,
                                        exec::StreamCtl* stream) const {
-#if MBIRD_THREADED_GOTO
   static const void* const table[kTOpCount] = {
       &&L_Halt,
       // marshal ops never appear in a native stream
       &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad,
       &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad, &&L_Bad,
       &&L_NIntU, &&L_NIntS, &&L_NBool, &&L_NEnum, &&L_NReal32, &&L_NReal64,
-      &&L_NChar1, &&L_NChar4, &&L_NBlockCopy, &&L_NConstBytes, &&L_NOpaque};
+      &&L_NChar1, &&L_NChar4, &&L_NBlockCopy, &&L_NConstBytes, &&L_NOpaque,
+      &&L_NCall, &&L_NReturn};
   if (table_out != nullptr) {
     *table_out = table;
     return;
   }
-#else
-  if (table_out != nullptr) {
-    *table_out = nullptr;
-    return;
-  }
-#endif
   const Program& prog = *prog_;
   const ImageLayout& il = *prog.src_layout;
   run_checks(*heap, base);
@@ -893,6 +844,7 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
   if (static_size_ >= 0 && stream == nullptr) {
     out_p->resize(o.w + static_cast<size_t>(static_size_));
   }
+  std::vector<uint32_t> rets;  // NCall return pcs
   uint32_t pc = 0;
 
   TE_BEGIN
@@ -994,11 +946,21 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
   TE_OP(NOpaque) {
     const Op& op = ops[pc];
     const Program::NativeSlot& s = prog.natives[op.a];
-    Value v = read_image(il, s.layout_node, *heap, base);
-    Value conv = exec::run_convert(*prog.fallback, s.aux, v, adapter_, customs_);
-    auto bytes = wire::encode(*prog.dst_graph, prog.dst_types[op.b], conv);
-    o.raw(bytes.data(), bytes.size());
+    emit_encoded(o, prog, op.b,
+                 exec::run_convert(*prog.fallback, s.aux,
+                                   read_image(il, s.layout_node, *heap, base),
+                                   adapter_, customs_));
     TE_NEXT;
+  }
+  TE_OP(NCall) {
+    rets.push_back(pc + 1);
+    pc = ops[pc].a;
+    TE_JUMP;
+  }
+  TE_OP(NReturn) {
+    pc = rets.back();
+    rets.pop_back();
+    TE_JUMP;
   }
   TE_OP(Halt) {
     o.commit();
@@ -1024,14 +986,15 @@ ThreadedEngine::ThreadedEngine(std::shared_ptr<const planir::Program> prog,
     throw IrError(IrFault::BadEntry, "threaded engine needs a program");
   }
   planir::require_valid(*prog_);
-  switch (prog_->mode) {
-    case Program::Mode::Marshal: build_marshal(); break;
-    case Program::Mode::NativeMarshal: build_native(); break;
-    default:
-      throw IrError(IrFault::ModeMismatch,
-                    "threaded engine executes marshal or native-marshal "
-                    "programs (convert stays on the tree/VM path)");
+  // Convert programs run through run_convert and need no stream.
+  if (prog_->mode == Program::Mode::Convert) return;
+  if (prog_->mode == Program::Mode::NativeMarshal) {
+    build_native_checks();
+    if (auto size = static_native_wire_size(*prog_)) {
+      static_size_ = static_cast<ptrdiff_t>(*size);
+    }
   }
+  StreamBuild(*prog_, *this).run();
   bind_labels();
 }
 
@@ -1051,8 +1014,17 @@ void ThreadedEngine::bind_labels() {
   } else {
     run_native_stream(nullptr, 0, nullptr, &table);
   }
-  if (table == nullptr) return;  // switch-loop build
   for (Op& op : ops_) op.label = table[static_cast<uint16_t>(op.code)];
+}
+
+Value ThreadedEngine::apply(const Value& in) const {
+  if (prog_->mode != Program::Mode::Convert) {
+    throw IrError(IrFault::ModeMismatch, "apply() needs a convert program");
+  }
+  obs::ScopedTimer timer(te_metrics().convert_ns);
+  if (obs::metrics_on()) te_metrics().converts.add();
+  ++stats_.runs;
+  return exec::run_convert(*prog_, prog_->entry, in, adapter_, customs_);
 }
 
 std::vector<uint8_t> ThreadedEngine::marshal(const Value& in) const {
@@ -1148,39 +1120,58 @@ std::optional<size_t> ThreadedEngine::static_size() const {
   return static_cast<size_t>(static_size_);
 }
 
-bool ThreadedEngine::computed_goto() { return MBIRD_THREADED_GOTO != 0; }
-
 std::optional<size_t> static_native_wire_size(const planir::Program& prog) {
   if (prog.mode != Program::Mode::NativeMarshal) return std::nullopt;
-  size_t total = 0;
-  size_t steps = 0;
+  // Sized bottom-up over the instruction DAG (a verified native program
+  // has no cycles), so a sub-sequence shared by several parents is sized
+  // once. kDynamic marks LoadOpaque and absorbs overflowing sums.
+  constexpr size_t kDynamic = SIZE_MAX;
+  std::vector<size_t> size(prog.code.size(), 0);
+  std::vector<uint8_t> done(prog.code.size(), 0);
   std::vector<uint32_t> work{prog.entry};
   while (!work.empty()) {
-    if (++steps > (size_t{1} << 20)) return std::nullopt;
-    const planir::Instr& ins = prog.code[work.back()];
-    work.pop_back();
+    const uint32_t i = work.back();
+    if (done[i]) {
+      work.pop_back();
+      continue;
+    }
+    const planir::Instr& ins = prog.code[i];
+    size_t n = 0;
     switch (ins.op) {
       case OpCode::EmitNothing: break;
       case OpCode::LoadInt:
-      case OpCode::LoadEnum: total += prog.natives[ins.a].aux; break;
-      case OpCode::LoadReal32: total += 4; break;
-      case OpCode::LoadReal64: total += 8; break;
-      case OpCode::LoadChar1: total += 1; break;
-      case OpCode::LoadChar4: total += 4; break;
-      case OpCode::BlockCopy: total += prog.natives[ins.a].width; break;
-      case OpCode::ConstBytes: total += ins.b; break;
+      case OpCode::LoadEnum: n = prog.natives[ins.a].aux; break;
+      case OpCode::LoadReal32: n = 4; break;
+      case OpCode::LoadReal64: n = 8; break;
+      case OpCode::LoadChar1: n = 1; break;
+      case OpCode::LoadChar4: n = 4; break;
+      case OpCode::BlockCopy: n = prog.natives[ins.a].width; break;
+      case OpCode::ConstBytes: n = ins.b; break;
       case OpCode::NativeSeq: {
         const Program::RecordTab& rt = prog.records[ins.a];
-        for (uint32_t k = rt.fields_len; k-- > 0;) {
-          work.push_back(prog.fields[rt.fields_off + k].op);
+        bool ready = true;
+        for (uint32_t k = 0; k < rt.fields_len; ++k) {
+          const uint32_t kid = prog.fields[rt.fields_off + k].op;
+          if (!done[kid]) {
+            work.push_back(kid);
+            ready = false;
+          }
+        }
+        if (!ready) continue;  // revisit once every child is sized
+        for (uint32_t k = 0; k < rt.fields_len; ++k) {
+          const size_t m = size[prog.fields[rt.fields_off + k].op];
+          n = m > kDynamic - n ? kDynamic : n + m;
         }
         break;
       }
-      case OpCode::LoadOpaque: return std::nullopt;
-      default: return std::nullopt;
+      default: n = kDynamic; break;  // LoadOpaque
     }
+    size[i] = n;
+    done[i] = 1;
+    work.pop_back();
   }
-  return total;
+  if (size[prog.entry] == kDynamic) return std::nullopt;
+  return size[prog.entry];
 }
 
 }  // namespace mbird::runtime

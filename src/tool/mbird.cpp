@@ -22,7 +22,6 @@
 #include "obs/trace.hpp"
 #include "planir/planir.hpp"
 #include "project/project.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/layout.hpp"
 #include "service/serve.hpp"
 #include "service/service.hpp"
@@ -165,7 +164,7 @@ bool load_source(Session& s, Lang lang, const std::string& path,
 
 int usage(std::ostream& err) {
   err << "usage: mbird [--trace <out.json>] [--metrics <out.json>]\n"
-         "             [--diag-format=text|json] [--engine=vm|threaded|compiled]\n"
+         "             [--diag-format=text|json]\n"
          "             [--c|--java|--idl|--classfile|--project <file>]...\n"
          "             [--script <file>] [--annotate '<stmts>']\n"
          "             <list|show|mtype|diagram|compare|plan|gen|batch|serve|stats|top|save> ...\n"
@@ -219,10 +218,8 @@ int usage(std::ostream& err) {
          "                             trace-event JSON (chrome://tracing)\n"
          "  --metrics <out.json>       write the metrics registry snapshot\n"
          "  --diag-format=text|json    diagnostics as text or JSON lines\n"
-         "  --engine=vm|threaded|compiled\n"
-         "                             marshal execution tier: switch-loop VM,\n"
-         "                             direct-threaded engine (default), or\n"
-         "                             dlopen'd compiled stubs where eligible\n";
+         "execution: every plan runs on one PlanIR interpreter; compiled C\n"
+         "stubs are a library option (rpc::NativeStub), not a CLI flag\n";
   return 2;
 }
 
@@ -758,8 +755,8 @@ int run_command(const std::vector<std::string>& args, bool json_diags,
       return 1;
     }
     if (cmd == "plan") {
-      // `plan A B --emit-ir` dumps the flat PlanIR the runtime VM and the
-      // stub generator actually execute, instead of the plan tree.
+      // `plan A B --emit-ir` dumps the flat PlanIR the runtime engine and
+      // the stub generator actually execute, instead of the plan tree.
       // `--emit-ir=native` fuses the plan with A's native memory layout and
       // dumps the zero-copy marshal program (Load*/BlockCopy over the image).
       bool emit_ir = false, emit_native = false;
@@ -1055,7 +1052,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   // Stripped before the normal input/command scan so they are valid anywhere
   // on the line (`mbird batch m.txt --jobs 4 --trace t.json` included).
   std::string trace_path, metrics_path, diag_format = "text";
-  std::string engine;
   std::vector<std::string> rest;
   rest.reserve(args.size());
   for (size_t k = 0; k < args.size(); ++k) {
@@ -1085,12 +1081,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
       diag_format = *v;
     } else if (starts_with(a, "--diag-format=")) {
       diag_format = a.substr(14);
-    } else if (a == "--engine") {
-      auto v = value_of();
-      if (!v) return 2;
-      engine = *v;
-    } else if (starts_with(a, "--engine=")) {
-      engine = a.substr(9);
     } else {
       rest.push_back(a);
     }
@@ -1099,15 +1089,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
     err << "mbird: --diag-format expects 'text' or 'json', got '"
         << diag_format << "'\n";
     return usage(err);
-  }
-  if (!engine.empty()) {
-    runtime::EngineTier tier;
-    if (!runtime::parse_engine_tier(engine, &tier)) {
-      err << "mbird: --engine expects 'vm', 'threaded' or 'compiled', got '"
-          << engine << "'\n";
-      return usage(err);
-    }
-    runtime::set_engine_tier(tier);
   }
   if (!trace_path.empty()) {
     obs::Tracer::global().enable();

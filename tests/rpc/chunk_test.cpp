@@ -1,6 +1,6 @@
 // Frame segmentation (CHUNK) edge cases and the streaming-marshal
 // acceptance: bounded frames for multi-MB payloads, byte-identical to the
-// single-frame path, across engine tiers.
+// single-frame path, on the engine and through compiled stubs.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -13,10 +13,9 @@
 #include "planir/planir.hpp"
 #include "obs/trace.hpp"
 #include "rpc/rpc.hpp"
-#include "runtime/engine.hpp"
+#include "runtime/convert.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
-#include "runtime/vm.hpp"
 #include "wire/wire.hpp"
 
 namespace mbird::rpc {
@@ -315,9 +314,10 @@ TEST(Streaming, EncoderEmitsBoundedPiecesByteIdentical) {
   EXPECT_EQ(cat, reference);  // concatenation == the single-frame path
 }
 
-TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
-  // The engines' chunked marshal (identity plan) must match their own
-  // single-buffer marshal byte-for-byte under the same piece bound.
+TEST(Streaming, MarshalChunkedMatchesEncode) {
+  // The engine's chunked marshal must match its single-buffer marshal and
+  // the oracle byte-for-byte under the same piece bound. The plan is the
+  // identity, so the oracle's convert-then-encode is wire::encode itself.
   Graph g;
   Ref seq = four_mib_type(g);
   Value v = four_mib_value();
@@ -327,9 +327,8 @@ TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
       planir::compile_marshal(full.to_right.plan, full.to_right.root, g, seq);
   planir::require_valid(p);
 
-  runtime::PlanVm vm(p);
   runtime::ThreadedEngine te(p);
-  std::vector<uint8_t> reference = vm.marshal(v);
+  std::vector<uint8_t> reference = wire::encode(g, seq, v);
   ASSERT_GE(reference.size(), 4u << 20);
   EXPECT_EQ(te.marshal(v), reference);
 
@@ -345,10 +344,6 @@ TEST(Streaming, MarshalChunkedParityAcrossEngineTiers) {
     });
     return cat;
   };
-  EXPECT_EQ(collect([&](const runtime::PieceSink& emit) {
-              vm.marshal_chunked(v, kPiece, emit);
-            }),
-            reference);
   EXPECT_EQ(collect([&](const runtime::PieceSink& emit) {
               te.marshal_chunked(v, kPiece, emit);
             }),
@@ -426,34 +421,31 @@ TEST(Streaming, NativeChunkedMarshalMatchesSingleBuffer) {
   heap.write_uint(base + 2, 2, 31000);
   heap.write_f32(base + 4, 0.75f);
 
-  runtime::PlanVm vm(p);
   runtime::ThreadedEngine te(p);
   std::vector<uint8_t> reference;
-  vm.marshal_native_into(heap, base, reference);
-  ASSERT_FALSE(reference.empty());
+  te.marshal_native_into(heap, base, reference);
+  const Value image = runtime::read_image(*layout, 0, heap, base);
+  EXPECT_EQ(reference,
+            wire::encode(g, msg,
+                         runtime::Converter(full.to_right.plan)
+                             .apply(full.to_right.root, image)));
 
-  for (int engine = 0; engine < 2; ++engine) {
-    std::vector<uint8_t> cat;
-    auto emit = [&](std::vector<uint8_t>&& piece, bool last) {
-      if (!last) {
-        EXPECT_EQ(piece.size(), 3u);
-      }
-      EXPECT_LE(piece.size(), 3u);
-      cat.insert(cat.end(), piece.begin(), piece.end());
-    };
-    if (engine == 0) {
-      vm.marshal_native_chunked(heap, base, 3, emit);
-    } else {
-      te.marshal_native_chunked(heap, base, 3, emit);
-    }
-    EXPECT_EQ(cat, reference) << "engine " << engine;
-  }
+  std::vector<uint8_t> cat;
+  te.marshal_native_chunked(
+      heap, base, 3, [&](std::vector<uint8_t>&& piece, bool last) {
+        if (!last) {
+          EXPECT_EQ(piece.size(), 3u);
+        }
+        EXPECT_LE(piece.size(), 3u);
+        cat.insert(cat.end(), piece.begin(), piece.end());
+      });
+  EXPECT_EQ(cat, reference);
 }
 
 TEST(Streaming, NativeStubStreamingSendAcrossTiers) {
-  // NativeStub::send_streaming must deliver the same value at every engine
-  // tier; the Compiled tier (contiguous dlopen'd stubs) degrades to the
-  // threaded chunked marshal rather than staging one buffer.
+  // NativeStub::send_streaming must deliver the same value at both tiers;
+  // the Compiled tier (contiguous dlopen'd stubs) streams through the
+  // engine's chunked marshal rather than staging one buffer.
   Graph g;
   Ref msg = g.record({g.integer(0, 255), g.integer(0, 65535), g.real(24, 8)},
                      {"tag", "count", "ratio"});
@@ -470,11 +462,10 @@ TEST(Streaming, NativeStubStreamingSendAcrossTiers) {
       {Value::integer(3), Value::integer(777), Value::real(2.25)});
 
   const bool cc = std::system("cc --version > /dev/null 2>&1") == 0;
-  const runtime::EngineTier before = runtime::engine_tier();
-  for (auto tier : {runtime::EngineTier::Vm, runtime::EngineTier::Threaded,
-                    runtime::EngineTier::Compiled}) {
-    if (tier == runtime::EngineTier::Compiled && !cc) continue;
-    runtime::set_engine_tier(tier);
+  for (auto tier : {NativeStub::Tier::Threaded, NativeStub::Tier::Compiled}) {
+    if (tier == NativeStub::Tier::Compiled && !cc) continue;
+    const char* name =
+        tier == NativeStub::Tier::Compiled ? "compiled" : "threaded";
     ReliabilityOptions ro;
     ro.max_frame_payload = wire::kChunkHeaderSize + 3;  // 3-byte pieces
     Node client(1, ro), server(2);
@@ -485,15 +476,15 @@ TEST(Streaming, NativeStubStreamingSendAcrossTiers) {
     uint64_t p =
         server.open_port(&g, msg, [&](const Value& v) { got.push_back(v); });
     NativeStub stub(client, full.to_right.plan, full.to_right.root, g, msg,
-                    layout);
+                    layout, tier);
+    EXPECT_EQ(stub.tier(), tier) << name;
     stub.send_streaming(p, heap, base);
     pump({&client, &server});
-    ASSERT_EQ(got.size(), 1u) << runtime::to_string(tier);
-    EXPECT_EQ(got[0], expect) << runtime::to_string(tier);
-    EXPECT_EQ(client.stats().messages_chunked, 1u) << runtime::to_string(tier);
-    EXPECT_GE(client.stats().chunks_sent, 2u) << runtime::to_string(tier);
+    ASSERT_EQ(got.size(), 1u) << name;
+    EXPECT_EQ(got[0], expect) << name;
+    EXPECT_EQ(client.stats().messages_chunked, 1u) << name;
+    EXPECT_GE(client.stats().chunks_sent, 2u) << name;
   }
-  runtime::set_engine_tier(before);
 }
 
 TEST(Chunking, LossyStreamKeepsSendersTraceContext) {
