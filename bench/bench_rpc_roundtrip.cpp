@@ -133,8 +133,8 @@ void roundtrip(benchmark::State& state, bool socket,
   runtime::Converter conv(
       w.inv_cmp.plan, rpc::make_port_adapter(client, w.inv_cmp.plan, w.gj, w.gc));
 
-  // Registry deltas across the timed loop: the rpc layer mirrors NodeStats
-  // into process-wide obs counters, so the reliability story (retransmits,
+  // Registry deltas across the timed loop: every NodeStats field also feeds
+  // a process-wide obs counter, so the reliability story (retransmits,
   // acks both ways, dedup drops under loss) lands in the bench JSON.
   const auto snap0 = obs::Registry::global().snapshot();
 

@@ -9,14 +9,9 @@
 namespace mbird::compare {
 
 namespace {
-// Global registry mirrors of the per-instance counters (DESIGN.md §4h).
-// The per-instance atomics stay authoritative for CrossCache::stats() —
-// tests pin exact per-cache numbers — while the registry aggregates all
-// caches in the process for `mbird stats` / batch reports.
+// Registry counters with no per-instance view (the per-instance verdict
+// hits/misses/inserts are obs::Count members of CrossCache).
 struct CacheMetrics {
-  obs::Counter& hits = obs::counter("crosscache.verdict.hits");
-  obs::Counter& misses = obs::counter("crosscache.verdict.misses");
-  obs::Counter& inserts = obs::counter("crosscache.verdict.inserts");
   obs::Counter& prog_hits = obs::counter("crosscache.program.hits");
   obs::Counter& prog_misses = obs::counter("crosscache.program.misses");
   obs::Counter& hydrated = obs::counter("crosscache.store.hydrated");
@@ -125,8 +120,7 @@ std::shared_ptr<const CrossCache::Variant> CrossCache::find(
     if (it != s.map.end()) {
       for (const auto& v : it->second) {
         if (compatible(*v, lg, lv, rg, rv)) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          cache_metrics().hits.add();
+          hits_.add();
           return v;
         }
       }
@@ -137,13 +131,11 @@ std::shared_ptr<const CrossCache::Variant> CrossCache::find(
   // variants are always portable, so any one of them satisfies the caller.
   if (store_ != nullptr) {
     if (auto v = load_variants_from_store(key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_metrics().hits.add();
+      hits_.add();
       return v;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  cache_metrics().misses.add();
+  misses_.add();
   return nullptr;
 }
 
@@ -173,8 +165,7 @@ bool CrossCache::insert_locked(Shard& s, const Key& key,
   }
   const Variant* kept = v.get();
   list.push_back(std::move(v));
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  cache_metrics().inserts.add();
+  inserts_.add();
   if (persist && store_ != nullptr && persistable(*kept)) {
     persist_variant(key, *kept);
   }
@@ -582,9 +573,9 @@ std::shared_ptr<const CrossCache::Variant> CrossCache::load_variants_from_store(
 
 CrossCache::Stats CrossCache::stats() const {
   Stats st;
-  st.hits = hits_.load(std::memory_order_relaxed);
-  st.misses = misses_.load(std::memory_order_relaxed);
-  st.inserts = inserts_.load(std::memory_order_relaxed);
+  st.hits = hits_;
+  st.misses = misses_;
+  st.inserts = inserts_;
   for (Shard& s : shards_) {
     std::shared_lock lock(s.mu);
     st.entries += s.map.size();

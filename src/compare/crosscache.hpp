@@ -47,7 +47,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -57,6 +56,7 @@
 
 #include "compare/compare.hpp"
 #include "mtype/canon.hpp"
+#include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "planir/planir.hpp"
 
@@ -298,9 +298,9 @@ class CrossCache {
   mutable std::shared_mutex prog_mu_;
   std::unordered_map<Key, std::shared_ptr<const planir::Program>, KeyHash>
       programs_;
-  mutable std::atomic<size_t> hits_{0};
-  mutable std::atomic<size_t> misses_{0};
-  mutable std::atomic<size_t> inserts_{0};
+  obs::Count hits_{"crosscache.verdict.hits"};
+  obs::Count misses_{"crosscache.verdict.misses"};
+  obs::Count inserts_{"crosscache.verdict.inserts"};
   store::CacheStore* store_ = nullptr;
 };
 

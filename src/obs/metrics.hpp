@@ -3,18 +3,24 @@
 //
 // Two cost tiers, chosen per call site:
 //   * Counters/gauges are always live — one relaxed fetch_add on a
-//     thread-sharded cache line. rpc::NodeStats, CrossCache::Stats and
-//     wire::BufferPool mirror into them unconditionally, so `mbird stats`
-//     and the batch report see traffic even without --metrics.
+//     thread-sharded cache line — so `mbird stats` and the batch report
+//     see traffic even without --metrics.
 //   * Histograms and the per-call PlanIR engine metrics are gated behind
 //     metrics_on(): one relaxed load + branch when disabled, so the
 //     ~40ns zero-copy marshal path stays within the <2% overhead budget
 //     (bench/BENCH_obs.json). --trace/--metrics and `mbird batch` flip
 //     the gate on.
 //
+// One rule for components that also report per-instance stats
+// (rpc::NodeStats, BufferPool, CrossCache, CacheStore, the serve loops):
+// each such field is a Stat — Count or HighWater below — that owns the
+// instance's value together with the registry instrument of the same
+// meaning, so one add()/set_max() updates both views and no event is
+// counted by two statements.
+//
 // MBIRD_OBS_OFF compiles the *tracing* layer (obs/trace.hpp spans) to
-// no-ops; the registry itself stays functional because the stats-struct
-// views above are load-bearing for tests.
+// no-ops; the registry itself stays functional because the per-instance
+// stats above read through it.
 #pragma once
 
 #include <atomic>
@@ -25,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace mbird::obs {
 
@@ -66,7 +73,7 @@ class Gauge {
  public:
   void set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  // Monotonic high-water update (NodeStats max_inflight style).
+  // Monotonic high-water update (HighWater below).
   void set_max(int64_t v) {
     int64_t cur = v_.load(std::memory_order_relaxed);
     while (v > cur &&
@@ -140,8 +147,8 @@ class ScopedTimer {
 };
 
 // Name → instrument registry. Registration (the first lookup of a name)
-// takes a mutex; call sites cache the returned reference in a static, so
-// the hot path never touches the map. Instruments are never deallocated
+// takes a mutex; call sites cache the returned reference in a static or a
+// Stat, so the hot path never touches the map. Instruments are never deallocated
 // while the registry lives, so cached references stay valid.
 class Registry {
  public:
@@ -190,5 +197,49 @@ class Registry {
 Counter& counter(std::string_view name);
 Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
+
+// A per-instance value bound to the global registry instrument `name`,
+// resolved once at construction. Count (a Counter) tallies events with
+// add(); HighWater (a Gauge) tracks a maximum with set_max(), keeping the
+// process-wide gauge at or above every instance's value. Reads as a plain
+// number. Lock-free and safe for concurrent writers.
+template <class Instrument>
+class Stat {
+ public:
+  explicit Stat(std::string_view name);
+
+  void add(uint64_t n = 1)
+    requires std::is_same_v<Instrument, Counter>
+  {
+    v_.fetch_add(n, std::memory_order_relaxed);
+    instrument_.add(n);
+  }
+  void set_max(uint64_t v)
+    requires std::is_same_v<Instrument, Gauge>
+  {
+    uint64_t cur = v_.load(std::memory_order_relaxed);
+    while (v > cur) {
+      if (v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+        instrument_.set_max(static_cast<int64_t>(v));
+        return;
+      }
+    }
+  }
+
+  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  operator uint64_t() const { return value(); }  // NOLINT(google-explicit-constructor)
+
+ private:
+  std::atomic<uint64_t> v_{0};
+  Instrument& instrument_;
+};
+
+template <>
+inline Stat<Counter>::Stat(std::string_view name) : instrument_(counter(name)) {}
+template <>
+inline Stat<Gauge>::Stat(std::string_view name) : instrument_(gauge(name)) {}
+
+using Count = Stat<Counter>;
+using HighWater = Stat<Gauge>;
 
 }  // namespace mbird::obs

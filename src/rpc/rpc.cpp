@@ -17,32 +17,8 @@ using mtype::MKind;
 using mtype::Ref;
 
 namespace {
-// Registry mirrors of NodeStats (DESIGN.md §4h). The per-node struct
-// stays authoritative for Node::stats(); these aggregate every node in
-// the process so `mbird stats`, batch reports and bench counters see
-// delivery-layer behaviour without holding Node pointers.
 struct RpcMetrics {
-  obs::Counter& frames_sent = obs::counter("rpc.frames_sent");
-  obs::Counter& frames_received = obs::counter("rpc.frames_received");
-  obs::Counter& bytes_sent = obs::counter("rpc.bytes_sent");
-  obs::Counter& local_deliveries = obs::counter("rpc.local_deliveries");
-  obs::Counter& duplicates_dropped = obs::counter("rpc.duplicates_dropped");
-  obs::Counter& unknown_port_drops = obs::counter("rpc.unknown_port_drops");
-  obs::Counter& retransmits = obs::counter("rpc.retransmits");
-  obs::Counter& acks_sent = obs::counter("rpc.acks_sent");
-  obs::Counter& acks_received = obs::counter("rpc.acks_received");
-  obs::Counter& frames_expired = obs::counter("rpc.frames_expired");
-  obs::Counter& timed_out_calls = obs::counter("rpc.timed_out_calls");
   obs::Counter& calls = obs::counter("rpc.calls");
-  obs::Counter& chunks_sent = obs::counter("rpc.chunks_sent");
-  obs::Counter& chunks_received = obs::counter("rpc.chunks_received");
-  obs::Counter& messages_chunked = obs::counter("rpc.messages_chunked");
-  obs::Counter& messages_reassembled = obs::counter("rpc.messages_reassembled");
-  obs::Counter& chunk_aborts = obs::counter("rpc.chunk_aborts");
-  obs::Counter& decode_faults = obs::counter("rpc.decode_faults");
-  obs::Gauge& max_inflight = obs::gauge("rpc.max_inflight");
-  obs::Gauge& max_dedup_window = obs::gauge("rpc.max_dedup_window");
-  obs::Gauge& send_queue_depth = obs::gauge("rpc.peer.send_queue_depth");
   obs::Histogram& call_ns = obs::histogram("rpc.call_ns");
 };
 RpcMetrics& rm() {
@@ -70,8 +46,7 @@ void Node::connect(uint16_t peer, std::shared_ptr<transport::Link> link) {
 }
 
 void Node::transmit(PeerState& ps, PeerState::Pending& p) {
-  stats_.bytes_sent += p.bytes.size();
-  rm().bytes_sent.add(p.bytes.size());
+  stats_.bytes_sent.add(p.bytes.size());
   p.backoff = relopts_.initial_backoff;
   p.next_resend_tick = tick_ + p.backoff;
   ps.resend_heap.emplace(p.next_resend_tick, p.seq);
@@ -95,8 +70,7 @@ void Node::send_marshaled(uint64_t dest_port, std::vector<uint8_t> payload) {
     // authoritative (exactly what poll() does for arriving frames).
     auto it = ports_.find(dest_port);
     if (it == ports_.end()) {
-      stats_.unknown_port_drops++;
-      rm().unknown_port_drops.add();
+      stats_.unknown_port_drops.add();
       return;
     }
     local_queue_.emplace_back(
@@ -107,15 +81,8 @@ void Node::send_marshaled(uint64_t dest_port, std::vector<uint8_t> payload) {
 }
 
 void Node::note_queue_depth(const PeerState& ps) {
-  if (ps.unacked.size() > stats_.max_inflight) {
-    stats_.max_inflight = ps.unacked.size();
-    rm().max_inflight.set_max(static_cast<int64_t>(stats_.max_inflight));
-  }
-  size_t depth = ps.unacked.size() + ps.backlog.size();
-  if (depth > stats_.max_queue_depth) {
-    stats_.max_queue_depth = depth;
-    rm().send_queue_depth.set_max(static_cast<int64_t>(depth));
-  }
+  stats_.max_inflight.set_max(ps.unacked.size());
+  stats_.max_queue_depth.set_max(ps.unacked.size() + ps.backlog.size());
 }
 
 void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
@@ -145,11 +112,9 @@ void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
   }
   f.payload = std::move(payload);
   if (kind == wire::FrameKind::Chunk) {
-    stats_.chunks_sent++;
-    rm().chunks_sent.add();
+    stats_.chunks_sent.add();
   } else {
-    stats_.frames_sent++;
-    rm().frames_sent.add();
+    stats_.frames_sent.add();
   }
 
   PeerState::Pending p;
@@ -181,8 +146,7 @@ void Node::send_frame(uint64_t dest_port, std::vector<uint8_t> payload) {
   const size_t piece_max = relopts_.max_frame_payload > wire::kChunkHeaderSize
                                ? relopts_.max_frame_payload - wire::kChunkHeaderSize
                                : 1;
-  stats_.messages_chunked++;
-  rm().messages_chunked.add();
+  stats_.messages_chunked.add();
   wire::ChunkInfo info;
   info.msg_id = next_msg_id_++;
   size_t off = 0;
@@ -258,8 +222,7 @@ void Node::send_chunked(
         }
         st.started = true;
         st.info.msg_id = next_msg_id_++;
-        stats_.messages_chunked++;
-        rm().messages_chunked.add();
+        stats_.messages_chunked.add();
         flush_held_as_chunk(/*last=*/false);
       }
       st.held = std::move(piece);
@@ -325,10 +288,7 @@ bool Node::accept_seq(PeerState& ps, uint64_t seq) {
       ps.cum_recv++;
     }
   }
-  if (ps.ooo.size() > stats_.max_dedup_window) {
-    stats_.max_dedup_window = ps.ooo.size();
-    rm().max_dedup_window.set_max(static_cast<int64_t>(stats_.max_dedup_window));
-  }
+  stats_.max_dedup_window.set_max(ps.ooo.size());
   return true;
 }
 
@@ -353,8 +313,7 @@ void Node::retransmit_due(PeerState& ps) {
       // whatever is queued: keeping the rest pending could never complete
       // (cumulative acks cannot pass the gap), so drop it all and let
       // callers time out.
-      stats_.frames_expired += ps.unacked.size() + ps.backlog.size();
-      rm().frames_expired.add(ps.unacked.size() + ps.backlog.size());
+      stats_.frames_expired.add(ps.unacked.size() + ps.backlog.size());
       for (auto& dead : ps.unacked) pool_.release(std::move(dead.bytes));
       for (auto& dead : ps.backlog) pool_.release(std::move(dead.bytes));
       ps.unacked.clear();
@@ -366,10 +325,8 @@ void Node::retransmit_due(PeerState& ps) {
     it->backoff = std::min(it->backoff * 2, relopts_.max_backoff);
     it->next_resend_tick = tick_ + it->backoff;
     ps.resend_heap.emplace(it->next_resend_tick, it->seq);
-    stats_.retransmits++;
-    stats_.bytes_sent += it->bytes.size();
-    rm().retransmits.add();
-    rm().bytes_sent.add(it->bytes.size());
+    stats_.retransmits.add();
+    stats_.bytes_sent.add(it->bytes.size());
     ps.link->send(it->bytes);
   }
 }
@@ -377,8 +334,7 @@ void Node::retransmit_due(PeerState& ps) {
 void Node::dispatch(uint64_t port_id, const Value& v) {
   auto it = ports_.find(port_id);
   if (it == ports_.end()) {
-    stats_.unknown_port_drops++;
-    rm().unknown_port_drops.add();
+    stats_.unknown_port_drops.add();
     return;
   }
   // Copy the handler out first: once-ports close before running (the
@@ -395,8 +351,7 @@ size_t Node::deliver_local() {
   std::vector<std::pair<uint64_t, Value>> batch;
   batch.swap(local_queue_);
   for (auto& [port_id, v] : batch) {
-    stats_.local_deliveries++;
-    rm().local_deliveries.add();
+    stats_.local_deliveries.add();
     dispatch(port_id, v);
     ++processed;
   }
@@ -413,12 +368,10 @@ size_t Node::accept_chunk(uint16_t peer_id, PeerState& ps,
     note_decode_fault("rpc.chunk_fault");
     return 0;
   }
-  stats_.chunks_received++;
-  rm().chunks_received.add();
+  stats_.chunks_received.add();
   if ((cv.info.flags & wire::kChunkFlagAbort) != 0) {
     if (ps.reassembly.erase(cv.info.msg_id) != 0) {
-      stats_.chunk_aborts++;
-      rm().chunk_aborts.add();
+      stats_.chunk_aborts.add();
       obs::FlightRecorder::global().fault("rpc.chunk_abort");
     }
     return 0;
@@ -433,8 +386,7 @@ size_t Node::accept_chunk(uint16_t peer_id, PeerState& ps,
   if (r.bytes + cv.len > relopts_.reassembly_limit) {
     // Stream exceeded the buffering cap; discard everything collected.
     ps.reassembly.erase(cv.info.msg_id);
-    stats_.chunk_aborts++;
-    rm().chunk_aborts.add();
+    stats_.chunk_aborts.add();
     obs::FlightRecorder::global().fault("rpc.reassembly_limit");
     return 0;
   }
@@ -457,12 +409,10 @@ size_t Node::accept_chunk(uint16_t peer_id, PeerState& ps,
   obs::ContextGuard adopt(
       obs::TraceContext{r.trace_id, r.parent_span_id, r.sampled});
   ps.reassembly.erase(cv.info.msg_id);
-  stats_.messages_reassembled++;
-  rm().messages_reassembled.add();
+  stats_.messages_reassembled.add();
   auto it = ports_.find(dest_port);
   if (it == ports_.end()) {
-    stats_.unknown_port_drops++;
-    rm().unknown_port_drops.add();
+    stats_.unknown_port_drops.add();
     pool_.release(std::move(whole));
     return 0;
   }
@@ -475,8 +425,7 @@ size_t Node::accept_chunk(uint16_t peer_id, PeerState& ps,
     return 0;
   }
   pool_.release(std::move(whole));
-  stats_.frames_received++;
-  rm().frames_received.add();
+  stats_.frames_received.add();
   dispatch(dest_port, v);
   return 1;
 }
@@ -497,13 +446,11 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
     // retransmit entries whether it is DATA or an explicit ACK.
     apply_cum_ack(ps, f.cum_ack);
     if (f.kind == wire::FrameKind::Ack) {
-      stats_.acks_received++;
-      rm().acks_received.add();
+      stats_.acks_received.add();
       continue;
     }
     if (!accept_seq(ps, f.seq)) {
-      stats_.duplicates_dropped++;
-      rm().duplicates_dropped.add();
+      stats_.duplicates_dropped.add();
       ps.ack_due = true;  // re-ack: the ack for this frame was likely lost
       continue;
     }
@@ -519,8 +466,7 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
     }
     auto it = ports_.find(f.dest_port);
     if (it == ports_.end()) {
-      stats_.unknown_port_drops++;
-      rm().unknown_port_drops.add();
+      stats_.unknown_port_drops.add();
       continue;
     }
     Value v;
@@ -530,8 +476,7 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
       note_decode_fault("rpc.marshal_fault");
       continue;
     }
-    stats_.frames_received++;
-    rm().frames_received.add();
+    stats_.frames_received.add();
     dispatch(f.dest_port, v);
     ++processed;
   }
@@ -539,8 +484,7 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
 }
 
 void Node::note_decode_fault(const char* reason) {
-  stats_.decode_faults++;
-  rm().decode_faults.add();
+  stats_.decode_faults.add();
   // Pin the faulting request's identity into the ring before the dump: the
   // decode never reached a handler, so no span would otherwise tie the
   // dump to the trace that caused it. The drain loop's ContextGuard holds
@@ -560,10 +504,8 @@ void Node::flush_ack(PeerState& ps) {
   ack.origin_node = id_;
   ack.cum_ack = ps.cum_recv;
   auto ack_bytes = wire::pack_frame(ack);
-  stats_.acks_sent++;
-  stats_.bytes_sent += ack_bytes.size();
-  rm().acks_sent.add();
-  rm().bytes_sent.add(ack_bytes.size());
+  stats_.acks_sent.add();
+  stats_.bytes_sent.add(ack_bytes.size());
   ps.link->send(std::move(ack_bytes));
   ps.ack_due = false;
 }
@@ -712,22 +654,27 @@ uint64_t serve_object(Node& node, const Graph& g, Ref choice_type,
       });
 }
 
-Value call_function(Node& client, uint64_t fn_port, const Graph& g,
-                    Ref invocation_type, const Value& args,
-                    const std::vector<Node*>& nodes, const CallOptions& options) {
+namespace {
+
+/// The wait loop behind call_function and call_method: open a once reply
+/// port, send Record(args, port(reply)) to `dest` — wrapped as arm `arm` of
+/// the object's choice when one is given — and poll `nodes` until the reply
+/// lands, the deadline passes, or nothing is left in flight.
+Value await_call(Node& client, uint64_t dest, const Graph& g, Ref msg_type,
+                 Ref out_type, const Value& args, std::optional<uint32_t> arm,
+                 const std::vector<Node*>& nodes, const CallOptions& options) {
   // One span per call covering send -> ack -> reply; the retransmit and
   // backoff behaviour during the window lands in the notes.
   obs::Span span("rpc.call");
   obs::ScopedTimer timer(rm().call_ns);
   rm().calls.add();
   const uint64_t retrans0 = client.stats().retransmits;
-  Ref out_type = reply_msg_type(g, invocation_type);
   std::optional<Value> reply;
   uint64_t reply_port = client.open_port(
       &g, out_type, [&reply](const Value& v) { reply = v; }, /*once=*/true);
-
   Value invocation = Value::record({args, Value::port(reply_port)});
-  client.send(fn_port, g, invocation_type, invocation);
+  if (arm) invocation = Value::choice(*arm, std::move(invocation));
+  client.send(dest, g, msg_type, invocation);
 
   size_t quiet = 0;
   for (size_t round = 0; round < options.max_rounds; ++round) {
@@ -735,6 +682,7 @@ Value call_function(Node& client, uint64_t fn_port, const Graph& g,
     for (Node* n : nodes) processed += n->poll();
     if (reply) {
       if (span.recording()) {
+        if (arm) span.note("arm", static_cast<uint64_t>(*arm));
         span.note("rounds", static_cast<uint64_t>(round + 1));
         span.note("retransmits", client.stats().retransmits - retrans0);
       }
@@ -744,7 +692,7 @@ Value call_function(Node& client, uint64_t fn_port, const Graph& g,
     for (Node* n : nodes) pending = pending || n->has_pending();
     quiet = (processed == 0 && !pending) ? quiet + 1 : 0;
     if (options.resend_every != 0 && quiet >= options.resend_every) {
-      client.send(fn_port, g, invocation_type, invocation);
+      client.send(dest, g, msg_type, invocation);
       quiet = 0;
     } else if (options.resend_every == 0 && quiet > 2) {
       // Retransmissions exhausted (or never started) with no reply in
@@ -754,13 +702,23 @@ Value call_function(Node& client, uint64_t fn_port, const Graph& g,
   }
   client.close_port(reply_port);
   client.note_timed_out_call();
-  rm().timed_out_calls.add();
   if (span.recording()) {
     span.note("retransmits", client.stats().retransmits - retrans0);
     span.note("timeout", "true");
   }
-  throw CallTimeoutError("call timed out waiting for reply (deadline " +
+  throw CallTimeoutError(std::string(arm ? "method call" : "call") +
+                         " timed out waiting for reply (deadline " +
                          std::to_string(options.max_rounds) + " rounds)");
+}
+
+}  // namespace
+
+Value call_function(Node& client, uint64_t fn_port, const Graph& g,
+                    Ref invocation_type, const Value& args,
+                    const std::vector<Node*>& nodes, const CallOptions& options) {
+  return await_call(client, fn_port, g, invocation_type,
+                    reply_msg_type(g, invocation_type), args, std::nullopt,
+                    nodes, options);
 }
 
 Value call_method(Node& client, uint64_t obj_port, const Graph& g,
@@ -774,51 +732,8 @@ Value call_method(Node& client, uint64_t obj_port, const Graph& g,
   if (n.kind != MKind::Choice || arm >= n.children.size()) {
     throw MbError("bad method arm");
   }
-  Ref inv_type = n.children[arm];
-  Ref out_type = reply_msg_type(g, inv_type);
-
-  obs::Span span("rpc.call");
-  obs::ScopedTimer timer(rm().call_ns);
-  rm().calls.add();
-  const uint64_t retrans0 = client.stats().retransmits;
-  std::optional<Value> reply;
-  uint64_t reply_port = client.open_port(
-      &g, out_type, [&reply](const Value& v) { reply = v; }, /*once=*/true);
-  Value invocation =
-      Value::choice(arm, Value::record({args, Value::port(reply_port)}));
-  client.send(obj_port, g, r, invocation);
-
-  size_t quiet = 0;
-  for (size_t round = 0; round < options.max_rounds; ++round) {
-    size_t processed = 0;
-    for (Node* nd : nodes) processed += nd->poll();
-    if (reply) {
-      if (span.recording()) {
-        span.note("arm", static_cast<uint64_t>(arm));
-        span.note("rounds", static_cast<uint64_t>(round + 1));
-        span.note("retransmits", client.stats().retransmits - retrans0);
-      }
-      return *reply;
-    }
-    bool pending = false;
-    for (Node* nd : nodes) pending = pending || nd->has_pending();
-    quiet = (processed == 0 && !pending) ? quiet + 1 : 0;
-    if (options.resend_every != 0 && quiet >= options.resend_every) {
-      client.send(obj_port, g, r, invocation);
-      quiet = 0;
-    } else if (options.resend_every == 0 && quiet > 2) {
-      break;
-    }
-  }
-  client.close_port(reply_port);
-  client.note_timed_out_call();
-  rm().timed_out_calls.add();
-  if (span.recording()) {
-    span.note("retransmits", client.stats().retransmits - retrans0);
-    span.note("timeout", "true");
-  }
-  throw CallTimeoutError("method call timed out waiting for reply (deadline " +
-                         std::to_string(options.max_rounds) + " rounds)");
+  return await_call(client, obj_port, g, r, reply_msg_type(g, n.children[arm]),
+                    args, arm, nodes, options);
 }
 
 namespace {

@@ -35,6 +35,7 @@
 
 #include "codegen/stubcache.hpp"
 #include "mtype/mtype.hpp"
+#include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "planir/planir.hpp"
 #include "runtime/convert.hpp"
@@ -48,27 +49,46 @@ namespace mbird::rpc {
 
 using runtime::Value;
 
+/// Per-node delivery stats. Each field also feeds the process-wide registry
+/// instrument named beside it (summed over every node; high-water fields
+/// are maxima), so `mbird stats`, `mbird top` and the benches see the same
+/// events without holding Node pointers.
 struct NodeStats {
-  uint64_t frames_sent = 0;        // DATA frames submitted by the application
-  uint64_t frames_received = 0;    // fresh DATA frames delivered to a port
-  uint64_t bytes_sent = 0;         // on-wire bytes incl. retransmits and acks
-  uint64_t local_deliveries = 0;
-  uint64_t duplicates_dropped = 0;
-  uint64_t unknown_port_drops = 0;
-  uint64_t retransmits = 0;        // DATA frames re-sent after a backoff tick
-  uint64_t acks_sent = 0;          // explicit ACK frames emitted
-  uint64_t acks_received = 0;      // explicit ACK frames consumed
-  uint64_t frames_expired = 0;     // unacked frames abandoned (retries spent)
-  uint64_t timed_out_calls = 0;    // call_* helpers that threw CallTimeoutError
-  uint64_t max_inflight = 0;       // high-water unacked DATA frames (per peer)
-  uint64_t max_dedup_window = 0;   // high-water out-of-order dedup set size
-  uint64_t chunks_sent = 0;        // CHUNK frames submitted
-  uint64_t chunks_received = 0;    // fresh CHUNK frames accepted
-  uint64_t messages_chunked = 0;   // outbound messages split into chunks
-  uint64_t messages_reassembled = 0;  // inbound chunk streams completed
-  uint64_t chunk_aborts = 0;       // reassemblies discarded (sender abort/limit)
-  uint64_t max_queue_depth = 0;    // high-water unacked+backlog frames (per peer)
-  uint64_t decode_faults = 0;      // malformed frames/payloads dropped
+  // DATA frames submitted by the application
+  obs::Count frames_sent{"rpc.frames_sent"};
+  // fresh DATA frames delivered to a port
+  obs::Count frames_received{"rpc.frames_received"};
+  // on-wire bytes incl. retransmits and acks
+  obs::Count bytes_sent{"rpc.bytes_sent"};
+  obs::Count local_deliveries{"rpc.local_deliveries"};
+  obs::Count duplicates_dropped{"rpc.duplicates_dropped"};
+  obs::Count unknown_port_drops{"rpc.unknown_port_drops"};
+  // DATA frames re-sent after a backoff tick
+  obs::Count retransmits{"rpc.retransmits"};
+  // explicit ACK frames emitted / consumed
+  obs::Count acks_sent{"rpc.acks_sent"};
+  obs::Count acks_received{"rpc.acks_received"};
+  // unacked frames abandoned (retries spent)
+  obs::Count frames_expired{"rpc.frames_expired"};
+  // call_* helpers that threw CallTimeoutError
+  obs::Count timed_out_calls{"rpc.timed_out_calls"};
+  // high-water unacked DATA frames (per peer)
+  obs::HighWater max_inflight{"rpc.max_inflight"};
+  // high-water out-of-order dedup set size
+  obs::HighWater max_dedup_window{"rpc.max_dedup_window"};
+  // CHUNK frames submitted / fresh CHUNK frames accepted
+  obs::Count chunks_sent{"rpc.chunks_sent"};
+  obs::Count chunks_received{"rpc.chunks_received"};
+  // outbound messages split into chunks
+  obs::Count messages_chunked{"rpc.messages_chunked"};
+  // inbound chunk streams completed
+  obs::Count messages_reassembled{"rpc.messages_reassembled"};
+  // reassemblies discarded (sender abort/limit)
+  obs::Count chunk_aborts{"rpc.chunk_aborts"};
+  // high-water unacked+backlog frames (per peer)
+  obs::HighWater max_queue_depth{"rpc.peer.send_queue_depth"};
+  // malformed frames/payloads dropped
+  obs::Count decode_faults{"rpc.decode_faults"};
 };
 
 /// Tuning for the per-peer ack/retransmit machinery. Backoff is measured on
@@ -202,7 +222,7 @@ class Node {
   [[nodiscard]] wire::BufferPool& buffer_pool() { return pool_; }
 
   /// Bookkeeping hook for the call_* helpers (they are free functions).
-  void note_timed_out_call() { stats_.timed_out_calls++; }
+  void note_timed_out_call() { stats_.timed_out_calls.add(); }
 
  private:
   struct Port {

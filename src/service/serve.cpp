@@ -175,10 +175,10 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
                                     compile_handler(core));
 
   // ---- request loop --------------------------------------------------------
-  auto& req_counter = obs::counter("serve.requests");
-  auto& bad_counter = obs::counter("serve.bad_requests");
+  obs::Count served{"serve.requests"};
+  obs::Count bad{"serve.bad_requests"};
   auto& latency = obs::histogram("serve.latency_us");
-  size_t served = 0, bad = 0, memo_hits = 0, reply_errors = 0, lineno = 0;
+  size_t memo_hits = 0, reply_errors = 0, lineno = 0;
   std::string line;
   while (std::getline(requests, line)) {
     ++lineno;
@@ -189,8 +189,7 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
     std::string a, b, extra;
     if (!(ls >> a)) continue;  // blank / comment-only
     if (!(ls >> b) || (ls >> extra)) {
-      ++bad;
-      bad_counter.add(1);
+      bad.add();
       err << "mbird: " << requests_name << ':' << lineno
           << ": expected '<declA> <declB>'\n";
       out << "{\"line\": " << lineno
@@ -206,8 +205,7 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
       reply = rpc::call_function(client, fn, gs, invocation, args,
                                  {&client, &server});
     } catch (const std::exception& e) {
-      ++bad;
-      bad_counter.add(1);
+      bad.add();
       out << "{\"line\": " << lineno << ", \"error\": \"";
       json_escape(out, e.what());
       out << "\"}\n";
@@ -216,7 +214,7 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
     const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
-    req_counter.add(1);
+    served.add();
     latency.record(static_cast<uint64_t>(us));
     if (span.recording()) {
       span.note("left", a);
@@ -226,7 +224,6 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
     const auto verdict = static_cast<compare::Verdict>(
         static_cast<int64_t>(reply.at(0).as_int()));
     const std::string remote_err = string_of(reply.at(5));
-    ++served;
     out << "{\"left\": \"";
     json_escape(out, a);
     out << "\", \"right\": \"";
@@ -259,7 +256,8 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
   }
   const auto& cs = client.stats();
   const auto& ss = server.stats();
-  out << "{\"served\": " << served << ", \"bad_requests\": " << bad
+  out << "{\"served\": " << served.value()
+      << ", \"bad_requests\": " << bad.value()
       << ", \"reply_errors\": " << reply_errors
       << ", \"memo_hits\": " << memo_hits
       << ", \"latency_p50_us\": " << latency.percentile(0.50)
@@ -320,19 +318,16 @@ int run_serve_listen(std::vector<stype::Module>& modules,
   }
   const auto start = std::chrono::steady_clock::now();
 
-  std::atomic<uint64_t> served{0};
-  auto& req_counter = obs::counter("serve.requests");
+  obs::Count served{"serve.requests"};
   auto& latency = obs::histogram("serve.latency_us");
   auto counted = [&](std::function<Value(const Value&)> fn) {
-    return [fn = std::move(fn), &served, &req_counter,
-            &latency](const Value& v) -> Value {
+    return [fn = std::move(fn), &served, &latency](const Value& v) -> Value {
       // One span per request — a child of the calling frame's trace
       // context (the rpc layer adopts it around dispatch), so a stitched
       // client/server trace nests this under the client's rpc.call.
       obs::Span span("serve.request");
       obs::ScopedTimer timer(latency);
-      served.fetch_add(1, std::memory_order_relaxed);
-      req_counter.add(1);
+      served.add();
       return fn(v);
     };
   };
@@ -354,7 +349,7 @@ int run_serve_listen(std::vector<stype::Module>& modules,
             .count();
     std::ostringstream os;
     os << "{\"uptime_ms\":" << uptime_ms
-       << ",\"served\":" << served.load(std::memory_order_relaxed)
+       << ",\"served\":" << served.value()
        << ",\"peers\":" << reactor.peer_count()
        << ",\"flightrec_recorded\":"
        << obs::FlightRecorder::global().total_recorded()
@@ -392,7 +387,7 @@ int run_serve_listen(std::vector<stype::Module>& modules,
       [&] {
         return g_serve_stop.load(std::memory_order_relaxed) ||
                (options.max_requests != 0 &&
-                served.load(std::memory_order_relaxed) >= options.max_requests);
+                served.value() >= options.max_requests);
       },
       /*timeout_ms=*/1);
   std::signal(SIGINT, SIG_DFL);
@@ -405,7 +400,7 @@ int run_serve_listen(std::vector<stype::Module>& modules,
     rc = 1;
   }
   const auto& ss = server.stats();
-  out << "{\"served\": " << served.load()
+  out << "{\"served\": " << served.value()
       << ", \"peers\": " << reactor.peer_count()
       << ", \"rpc\": {\"frames_sent\": " << ss.frames_sent
       << ", \"frames_received\": " << ss.frames_received

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "obs/metrics.hpp"
 #include "store/serial.hpp"
 
 namespace mbird::store {
@@ -17,18 +16,6 @@ constexpr size_t kKeyBytes = 1 + 1 + 16 + 16;
 // real entry (the largest real payloads — programs for thousand-node
 // plans — are a few hundred KiB).
 constexpr uint32_t kMaxBody = 64u << 20;
-
-struct StoreMetrics {
-  obs::Counter& hits = obs::counter("store.hits");
-  obs::Counter& misses = obs::counter("store.misses");
-  obs::Counter& appends = obs::counter("store.appends");
-  obs::Counter& bytes = obs::counter("store.bytes_appended");
-};
-
-StoreMetrics& metrics() {
-  static StoreMetrics m;
-  return m;
-}
 
 void put_id(uint8_t* p, const mtype::StableId& id) {
   std::memcpy(p, &id.hi, 8);
@@ -119,12 +106,10 @@ bool CacheStore::get(const CacheKey& key, uint8_t kind,
     }
   }
   if (out->empty()) {
-    ++misses_;
-    metrics().misses.add(1);
+    misses_.add();
     return false;
   }
-  ++hits_;
-  metrics().hits.add(1);
+  hits_.add();
   return true;
 }
 
@@ -143,12 +128,10 @@ bool CacheStore::get(const CacheKey& key, uint8_t kind, BumpArena* arena,
     }
   }
   if (out->empty()) {
-    ++misses_;
-    metrics().misses.add(1);
+    misses_.add();
     return false;
   }
-  ++hits_;
-  metrics().hits.add(1);
+  hits_.add();
   return true;
 }
 
@@ -205,10 +188,8 @@ void CacheStore::put(const CacheKey& key, uint8_t kind, const void* payload,
   span.crc = crc;
   spans.push_back(span);
   ++entries_;
-  ++appends_;
-  bytes_appended_ += kHeaderBytes + body.size();
-  metrics().appends.add(1);
-  metrics().bytes.add(kHeaderBytes + body.size());
+  appends_.add();
+  bytes_appended_.add(kHeaderBytes + body.size());
 }
 
 bool CacheStore::flush(std::string* error) {

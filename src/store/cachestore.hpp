@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "mtype/canon.hpp"
+#include "obs/metrics.hpp"
 #include "store/arena.hpp"
 #include "store/pagefile.hpp"
 
@@ -130,10 +131,10 @@ class CacheStore {
   PageFile file_;
   std::unordered_map<CacheKey, std::vector<Span>, CacheKeyHash> index_;
   uint64_t entries_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t appends_ = 0;
-  uint64_t bytes_appended_ = 0;
+  obs::Count hits_{"store.hits"};
+  obs::Count misses_{"store.misses"};
+  obs::Count appends_{"store.appends"};
+  obs::Count bytes_appended_{"store.bytes_appended"};
 };
 
 }  // namespace mbird::store

@@ -2,50 +2,26 @@
 
 #include <utility>
 
-#include "obs/metrics.hpp"
-
 namespace mbird::wire {
 
-namespace {
-// Registry mirrors (DESIGN.md §4h). Per-pool counters stay authoritative
-// for BufferPool::stats(); the registry aggregates every pool in the
-// process (each rpc::Node owns one).
-struct PoolMetrics {
-  obs::Counter& acquired = obs::counter("wire.pool.acquired");
-  obs::Counter& reused = obs::counter("wire.pool.reused");
-  obs::Counter& released = obs::counter("wire.pool.released");
-  obs::Counter& dropped = obs::counter("wire.pool.dropped");
-};
-PoolMetrics& pool_metrics() {
-  static PoolMetrics m;
-  return m;
-}
-}  // namespace
-
 std::vector<uint8_t> BufferPool::acquire() {
-  PoolMetrics& m = pool_metrics();
   std::lock_guard<std::mutex> lock(mu_);
-  ++acquired_;
-  m.acquired.add();
+  acquired_.add();
   if (free_.empty()) return {};
-  ++reused_;
-  m.reused.add();
+  reused_.add();
   std::vector<uint8_t> buf = std::move(free_.back());
   free_.pop_back();
   return buf;
 }
 
 void BufferPool::release(std::vector<uint8_t>&& buf) {
-  PoolMetrics& m = pool_metrics();
   std::vector<uint8_t> local = std::move(buf);
   local.clear();
   std::lock_guard<std::mutex> lock(mu_);
-  ++released_;
-  m.released.add();
+  released_.add();
   if (free_.size() >= max_retained_ || local.capacity() > max_bytes_each_ ||
       local.capacity() == 0) {
-    ++dropped_;
-    m.dropped.add();
+    dropped_.add();
     return;  // `local` frees outside the freelist
   }
   free_.push_back(std::move(local));

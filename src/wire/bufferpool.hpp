@@ -19,6 +19,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace mbird::wire {
 
 class BufferPool {
@@ -64,10 +66,10 @@ class BufferPool {
   const size_t max_bytes_each_;
   mutable std::mutex mu_;
   std::vector<std::vector<uint8_t>> free_;
-  uint64_t acquired_ = 0;
-  uint64_t reused_ = 0;
-  uint64_t released_ = 0;
-  uint64_t dropped_ = 0;
+  obs::Count acquired_{"wire.pool.acquired"};
+  obs::Count reused_{"wire.pool.reused"};
+  obs::Count released_{"wire.pool.released"};
+  obs::Count dropped_{"wire.pool.dropped"};
 };
 
 }  // namespace mbird::wire

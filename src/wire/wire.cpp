@@ -1,5 +1,6 @@
 #include "wire/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -227,7 +228,9 @@ Value decode_node(const Graph& g, Ref type, Source& src, int depth) {
         uint32_t len = static_cast<uint32_t>(src.big(4));
         if (len > (1u << 28)) throw WireError("implausible sequence length");
         std::vector<Value> out;
-        out.reserve(len);
+        // The length is peer-supplied: reserve no more elements than there
+        // are bytes left, so a forged length cannot allocate up front.
+        out.reserve(std::min<size_t>(len, src.size() - src.pos()));
         for (uint32_t i = 0; i < len; ++i) {
           out.push_back(decode_node(g, (*elems)[0], src, depth + 1));
         }

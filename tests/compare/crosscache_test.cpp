@@ -8,6 +8,7 @@
 #include "compare/crosscache.hpp"
 #include "mtype/canon.hpp"
 #include "mtype/mtype.hpp"
+#include "obs/metrics.hpp"
 #include "plan/plan.hpp"
 #include "planir/planir.hpp"
 #include "support/threadpool.hpp"
@@ -277,6 +278,41 @@ TEST(CrossCache, SharedAcrossThreadsUnderLoad) {
   EXPECT_EQ(bad_count.load(), 0);
   auto st = cross.stats();
   EXPECT_GT(st.hits, 0u);
+}
+
+TEST(CrossCache, RegistryCountersMatchStatsUnderConcurrentWriters) {
+  // stats() and the crosscache.verdict.* registry counters are two views
+  // of one count: with four workers racing on one cache, the registry
+  // moves by exactly this cache's totals.
+  const auto before = obs::Registry::global().snapshot();
+  PairFixture f;
+  CrossCache cross;
+  {
+    ThreadPool pool(4);
+    for (int t = 0; t < 4; ++t) {
+      pool.submit([&] {
+        for (int i = 0; i < 20; ++i) {
+          Options opts;
+          opts.cross = &cross;
+          (void)compare(f.ga, f.a, f.gb, f.b, opts);
+          (void)compare(f.gb, f.b, f.ga, f.a, opts);
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  const auto moved = obs::Registry::global().snapshot().delta_since(before);
+  auto delta = [&](const char* name) {
+    auto it = moved.counters.find(name);
+    return it == moved.counters.end() ? size_t{0} : it->second;
+  };
+  const auto st = cross.stats();
+  EXPECT_GT(st.hits, 0u);
+  EXPECT_GT(st.misses, 0u);
+  EXPECT_GT(st.inserts, 0u);
+  EXPECT_EQ(delta("crosscache.verdict.hits"), st.hits);
+  EXPECT_EQ(delta("crosscache.verdict.misses"), st.misses);
+  EXPECT_EQ(delta("crosscache.verdict.inserts"), st.inserts);
 }
 
 TEST(CrossCache, WriteBufferFlushesOnUnwind) {

@@ -91,6 +91,36 @@ TEST(Reactor, EchoRoundTripOverUnixSocket) {
   EXPECT_EQ(server.stats().frames_received, 1u);
 }
 
+TEST(Reactor, ForgedListLengthIsCountedAndServingContinues) {
+  // The 4-byte echo payload 0f ff ff ff claims a string of 2^28 - 1 chars
+  // and carries none. The server must drop it as one decode fault and keep
+  // answering the same client.
+  Graph g;
+  Ref blob = g.record({g.list_of(g.character(stype::Repertoire::Latin1))},
+                      {"payload"});
+  Ref invocation = g.record({blob, g.port(blob)}, {"args", "reply"});
+  Node server(1);
+  Reactor reactor(server);
+  reactor.listen(test_addr("bomb"));
+  uint64_t echo = serve_function(server, g, invocation,
+                                 [](const Value& args) { return args; });
+
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* client = dial_client(owned, 2, reactor, reactor.listen_address());
+  client->send_marshaled(echo, {0x0f, 0xff, 0xff, 0xff});
+  ASSERT_TRUE(drive(reactor, {client},
+                    [&] { return server.stats().decode_faults == 1; }));
+
+  std::optional<Value> reply;
+  uint64_t rp = client->open_port(
+      &g, blob, [&](const Value& v) { reply = v; }, true);
+  const Value args = Value::record({Value::string("still serving")});
+  client->send(echo, g, invocation, Value::record({args, Value::port(rp)}));
+  ASSERT_TRUE(drive(reactor, {client}, [&] { return reply.has_value(); }));
+  EXPECT_EQ(*reply, args);
+  EXPECT_EQ(server.stats().decode_faults, 1u);
+}
+
 TEST(Reactor, ManyConcurrentClientsOverTcp) {
   Fn fn = make_fn();
   Node server(1);

@@ -4,6 +4,7 @@
 // a typed timeout instead of a livelocked pump.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
 
 namespace mbird::rpc {
@@ -181,6 +182,78 @@ TEST(Reliability, MethodCallTimeoutIsTyped) {
                            {&p.client, &p.server}),
                CallTimeoutError);
   EXPECT_EQ(p.client.stats().timed_out_calls, 1u);
+}
+
+TEST(Reliability, RegistryCountsEachNodeEventOnce) {
+  // NodeStats and the registry are two views of one count: over a lossy
+  // chunked exchange every rpc.* counter moves by exactly the two nodes'
+  // deltas, and every high-water gauge covers both nodes' marks. The
+  // names are the ones perfbench, `mbird top` and the batch report read.
+  const auto before = obs::Registry::global().snapshot();
+  transport::FaultOptions f;
+  f.drop_probability = 0.1;
+  f.duplicate_probability = 0.1;
+  f.reorder_probability = 0.05;
+  f.seed = 20261017;
+  ReliabilityOptions relopts;
+  relopts.max_frame_payload = 256;
+  Pair p(f, relopts);
+  Graph g;
+  Ref msg = g.list_of(g.integer(0, 255));
+  std::vector<Value> elems;
+  for (int i = 0; i < 4096; ++i) elems.push_back(Value::integer(i % 256));
+  const Value big = Value::list(std::move(elems));
+  int hits = 0;
+  uint64_t port = p.server.open_port(&g, msg, [&](const Value& v) {
+    EXPECT_EQ(v, big);
+    ++hits;
+  });
+  for (int i = 0; i < 4; ++i) p.client.send(port, g, msg, big);
+  pump({&p.client, &p.server});
+  ASSERT_EQ(hits, 4);
+  EXPECT_GT(p.client.stats().retransmits, 0u);
+  EXPECT_GT(p.server.stats().duplicates_dropped, 0u);
+  EXPECT_GT(p.client.stats().chunks_sent, 0u);
+
+  const auto moved = obs::Registry::global().snapshot().delta_since(before);
+  const std::pair<const char*, obs::Count NodeStats::*> counts[] = {
+      {"rpc.frames_sent", &NodeStats::frames_sent},
+      {"rpc.frames_received", &NodeStats::frames_received},
+      {"rpc.bytes_sent", &NodeStats::bytes_sent},
+      {"rpc.local_deliveries", &NodeStats::local_deliveries},
+      {"rpc.duplicates_dropped", &NodeStats::duplicates_dropped},
+      {"rpc.unknown_port_drops", &NodeStats::unknown_port_drops},
+      {"rpc.retransmits", &NodeStats::retransmits},
+      {"rpc.acks_sent", &NodeStats::acks_sent},
+      {"rpc.acks_received", &NodeStats::acks_received},
+      {"rpc.frames_expired", &NodeStats::frames_expired},
+      {"rpc.timed_out_calls", &NodeStats::timed_out_calls},
+      {"rpc.chunks_sent", &NodeStats::chunks_sent},
+      {"rpc.chunks_received", &NodeStats::chunks_received},
+      {"rpc.messages_chunked", &NodeStats::messages_chunked},
+      {"rpc.messages_reassembled", &NodeStats::messages_reassembled},
+      {"rpc.chunk_aborts", &NodeStats::chunk_aborts},
+      {"rpc.decode_faults", &NodeStats::decode_faults},
+  };
+  for (const auto& [name, field] : counts) {
+    auto it = moved.counters.find(name);
+    const uint64_t reg = it == moved.counters.end() ? 0 : it->second;
+    EXPECT_EQ(reg, (p.client.stats().*field).value() +
+                       (p.server.stats().*field).value())
+        << name;
+  }
+  const std::pair<const char*, obs::HighWater NodeStats::*> marks[] = {
+      {"rpc.max_inflight", &NodeStats::max_inflight},
+      {"rpc.max_dedup_window", &NodeStats::max_dedup_window},
+      {"rpc.peer.send_queue_depth", &NodeStats::max_queue_depth},
+  };
+  for (const auto& [name, field] : marks) {
+    const int64_t reg = obs::gauge(name).value();
+    for (const Node* n : {&p.client, &p.server}) {
+      EXPECT_GE(reg, static_cast<int64_t>((n->stats().*field).value()))
+          << name;
+    }
+  }
 }
 
 TEST(Pump, LivelockedHandlerHitsRoundBudget) {

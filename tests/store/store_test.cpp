@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "store/cachestore.hpp"
 #include "store/pagefile.hpp"
 
@@ -213,6 +214,37 @@ TEST_F(StoreTest, CacheStoreRoundTripAcrossReopen) {
     }
   }
   EXPECT_GT(s.stats().hits, 0u);
+}
+
+TEST_F(StoreTest, CacheStoreRegistryCountersMatchStats) {
+  // stats() and the store.* registry counters are two views of one count:
+  // the registry moves by exactly this store's totals.
+  const auto before = obs::Registry::global().snapshot();
+  std::string err;
+  CacheStore s;
+  ASSERT_TRUE(s.open(path_, 3, &err)) << err;
+  for (uint64_t k = 0; k < 8; ++k) {
+    auto p = payload_of(k, 16 + k);
+    s.put(key_of(k), CacheStore::kVerdict, p.data(), p.size());
+    s.put(key_of(k), CacheStore::kVerdict, p.data(), p.size());  // deduped
+  }
+  std::vector<std::vector<uint8_t>> got;
+  for (uint64_t k = 0; k < 12; ++k) {
+    (void)s.get(key_of(k), CacheStore::kVerdict, &got);  // 4 misses
+  }
+  const auto moved = obs::Registry::global().snapshot().delta_since(before);
+  auto delta = [&](const char* name) {
+    auto it = moved.counters.find(name);
+    return it == moved.counters.end() ? uint64_t{0} : it->second;
+  };
+  const auto st = s.stats();
+  EXPECT_EQ(st.hits, 8u);
+  EXPECT_EQ(st.misses, 4u);
+  EXPECT_EQ(st.appends, 8u);
+  EXPECT_EQ(delta("store.hits"), st.hits);
+  EXPECT_EQ(delta("store.misses"), st.misses);
+  EXPECT_EQ(delta("store.appends"), st.appends);
+  EXPECT_EQ(delta("store.bytes_appended"), st.bytes_appended);
 }
 
 TEST_F(StoreTest, CacheStoreDedupsIdenticalRecordsAcrossRuns) {

@@ -6,6 +6,7 @@
 
 #include <thread>
 
+#include "obs/metrics.hpp"
 #include "wire/bufferpool.hpp"
 
 namespace mbird::wire {
@@ -69,6 +70,31 @@ TEST(BufferPool, DroppingInsteadOfReleasingIsSafe) {
   }
   EXPECT_EQ(pool.stats().released, 0u);
   (void)pool.acquire();
+}
+
+TEST(BufferPool, RegistryCountersMatchPoolStats) {
+  // stats() and the wire.pool.* registry counters are two views of one
+  // count: the registry moves by exactly this pool's totals.
+  const auto before = obs::Registry::global().snapshot();
+  BufferPool pool(/*max_retained=*/2, /*max_bytes_each=*/1024);
+  for (int i = 0; i < 6; ++i) {
+    auto b = pool.acquire();
+    b.resize(i % 3 == 0 ? 4096 : 64);  // every third one is too big to keep
+    pool.release(std::move(b));
+  }
+  pool.release(std::vector<uint8_t>{});
+  const auto moved = obs::Registry::global().snapshot().delta_since(before);
+  auto delta = [&](const char* name) {
+    auto it = moved.counters.find(name);
+    return it == moved.counters.end() ? uint64_t{0} : it->second;
+  };
+  const auto s = pool.stats();
+  EXPECT_GT(s.reused, 0u);
+  EXPECT_GT(s.dropped, 0u);
+  EXPECT_EQ(delta("wire.pool.acquired"), s.acquired);
+  EXPECT_EQ(delta("wire.pool.reused"), s.reused);
+  EXPECT_EQ(delta("wire.pool.released"), s.released);
+  EXPECT_EQ(delta("wire.pool.dropped"), s.dropped);
 }
 
 TEST(BufferPool, ConcurrentAcquireRelease) {

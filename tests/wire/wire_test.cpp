@@ -116,6 +116,16 @@ TEST(Wire, TruncationDetected) {
   EXPECT_THROW(decode(g, rec, bytes), WireError);
 }
 
+TEST(Wire, ForgedListLengthRejectedBeforeAllocating) {
+  // 0f ff ff ff: a char list claiming 2^28 - 1 elements, none of which
+  // follow. Reserving for the claimed length would ask for ~20 GiB of
+  // Values; the decoder must instead fail on the missing bytes.
+  Graph g;
+  Ref str = g.list_of(g.character(stype::Repertoire::Latin1));
+  const std::vector<uint8_t> bytes = {0x0f, 0xff, 0xff, 0xff};
+  EXPECT_THROW(decode(g, str, bytes), WireError);
+}
+
 TEST(Wire, TrailingBytesDetected) {
   Graph g;
   Ref i = g.integer(0, 255);
