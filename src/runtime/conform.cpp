@@ -49,7 +49,7 @@ std::string check(const Graph& g, Ref ref, const Value& v, int depth) {
     case MKind::Choice: {
       if (v.is(Value::Kind::List)) {
         // Lists are accepted where the choice is a list body; re-encode.
-        return check(g, ref, Value::chain_from_list(v.children(), 0, 1), depth + 1);
+        return check(g, ref, Value::chain_from_list(*v.as_list(), 0, 1), depth + 1);
       }
       if (!v.is(Value::Kind::Choice)) {
         return "expected choice, got " + v.to_string();

@@ -78,7 +78,7 @@ Value Converter::eval_choice(const PlanNode& node, const Value& in,
     }
     if (cur->kind() == Value::Kind::List) {
       // nil = arm 0, cons = arm 1 in the canonical list encoding.
-      chain_storage = Value::chain_from_list(cur->children(), 0, 1);
+      chain_storage = Value::chain_from_list(*cur->as_list(), 0, 1);
       cur = &chain_storage;
       continue;
     }
@@ -112,11 +112,12 @@ Value Converter::eval(PlanRef ref, const Value& in, int depth) const {
     case PKind::RecordMap: return eval_record(node, in, depth);
     case PKind::ChoiceMap: return eval_choice(node, in, depth);
     case PKind::ListMap: {
-      // List inputs convert straight from their children — as_list() would
-      // deep-copy the whole element vector first. Chains still materialize.
+      // Element-form List inputs convert straight from their children —
+      // as_list() would deep-copy the whole element vector first. Packed
+      // Lists and chains still materialize.
       const std::vector<Value>* src;
       std::optional<std::vector<Value>> chain;
-      if (in.kind() == Value::Kind::List) {
+      if (in.kind() == Value::Kind::List && !in.packed_chars()) {
         src = &in.children();
       } else {
         chain = in.as_list();

@@ -291,17 +291,24 @@ void CWriter::write_pointer(Stype* node, const Annotations& eff,
       case LengthSpec::Kind::ParamName:
       case LengthSpec::Kind::FieldName:
       case LengthSpec::Kind::NulTerminated: {
-        auto elems = value.as_list();
-        if (!elems) {
-          throw ConversionError("expected a list value for array pointer");
+        // A List is written in place; only a nil/cons chain materializes.
+        const Value* list = &value;
+        Value chain;
+        if (!value.is(Value::Kind::List)) {
+          auto elems = value.as_list();
+          if (!elems) {
+            throw ConversionError("expected a list value for array pointer");
+          }
+          chain = Value::list(std::move(*elems));
+          list = &chain;
         }
         Layout el = layout_.layout_of(node->elem);
         bool nul = eff.length->kind == LengthSpec::Kind::NulTerminated;
-        uint64_t n = elems->size();
+        uint64_t n = list->size();
         uint64_t base =
             heap_.alloc(el.size * std::max<uint64_t>(n + (nul ? 1 : 0), 1), el.align);
         for (uint64_t i = 0; i < n; ++i) {
-          write(node->elem, {}, (*elems)[i], base + i * el.size, env_out);
+          write(node->elem, {}, list->at(i), base + i * el.size, env_out);
         }
         // NUL terminator slots are already zero (alloc zero-fills).
         heap_.write_ptr(addr, base);

@@ -72,7 +72,7 @@ uint32_t dispatch_choice(const Program& prog, const Program::ChoiceTab& ct,
     if (cur->kind() == Value::Kind::List) {
       // nil = arm 0, cons = arm 1 in the canonical list encoding.
       if (rec) rec->pure = false;
-      chains.push_back(Value::chain_from_list(cur->children(), 0, 1));
+      chains.push_back(Value::chain_from_list(*cur->as_list(), 0, 1));
       cur = &chains.back();
       continue;
     }
@@ -100,11 +100,12 @@ uint32_t dispatch_choice(const Program& prog, const Program::ChoiceTab& ct,
 }
 
 /// Resolve a MapList/EmitList input to its element vector without copying
-/// when it's already a List; chains are materialized into `lists` (a deque,
-/// so earlier element pointers stay valid).
+/// when it's already an element-form List; packed Lists and chains are
+/// materialized into `lists` (a deque, so earlier element pointers stay
+/// valid).
 const std::vector<Value>& list_elems(const Value& v,
                                      std::deque<std::vector<Value>>& lists) {
-  if (v.kind() == Value::Kind::List) return v.children();
+  if (v.kind() == Value::Kind::List && !v.packed_chars()) return v.children();
   auto lst = v.as_list();
   if (!lst) {
     throw ConversionError("expected a list-shaped value, got " + v.to_string());

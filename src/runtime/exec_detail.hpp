@@ -50,7 +50,8 @@ uint32_t dispatch_choice(const planir::Program& prog,
                          IcRecord* rec = nullptr);
 
 /// Resolve a MapList/EmitList input to its element vector without copying
-/// when it's already a List; chains are materialized into `lists`.
+/// when it's already an element-form List; packed Lists and chains are
+/// materialized into `lists`.
 const std::vector<Value>& list_elems(const Value& v,
                                      std::deque<std::vector<Value>>& lists);
 

@@ -1,16 +1,49 @@
 #include "runtime/value.hpp"
 
+#include <cstring>
+#include <new>
 #include <sstream>
 
 #include "support/error.hpp"
 
 namespace mbird::runtime {
 
+Value::Run::Run(std::string_view bytes) {
+  void* block = ::operator new(sizeof(Rep) + bytes.size());
+  rep_ = new (block) Rep{{1}, bytes.size()};
+  if (!bytes.empty()) {
+    std::memcpy(static_cast<char*>(block) + sizeof(Rep), bytes.data(), bytes.size());
+  }
+}
+
+void Value::Run::release() noexcept {
+  if (rep_->refs.fetch_sub(1) == 1) {
+    rep_->~Rep();
+    ::operator delete(rep_);
+  }
+}
+
+const Value& Value::char_value(unsigned char c) {
+  // Built once and never destroyed, so at() on a packed list can return
+  // references that outlive the list.
+  static const Value* const table = [] {
+    auto* t = new Value[256];
+    for (unsigned i = 0; i < 256; ++i) t[i] = character(i);
+    return t;
+  }();
+  return table[c];
+}
+
+void Value::throw_packed_children() {
+  throw ConversionError(
+      "a packed list has no element vector (use as_list() or at())");
+}
+
 Value Value::string(std::string_view s) {
-  std::vector<Value> chars;
-  chars.reserve(s.size());
-  for (char c : s) chars.push_back(character(static_cast<unsigned char>(c)));
-  return list(std::move(chars));
+  Value x;
+  x.kind_ = Kind::List;
+  x.run_ = Run(s);
+  return x;
 }
 
 Int128 Value::as_int() const {
@@ -20,7 +53,7 @@ Int128 Value::as_int() const {
 
 double Value::as_real() const {
   if (kind_ != Kind::Real) throw ConversionError("value is not a real: " + to_string());
-  return real_;
+  return std::bit_cast<double>(static_cast<uint64_t>(int_));
 }
 
 uint32_t Value::as_char() const {
@@ -46,15 +79,24 @@ const Value& Value::inner() const {
 }
 
 const Value& Value::at(size_t i) const {
-  if (i >= kids_.size()) {
-    throw ConversionError("child index " + std::to_string(i) +
-                          " out of range in " + to_string());
+  if (i < kids_.size()) return kids_[i];
+  if (run_ && i < run_.size()) {
+    return char_value(static_cast<unsigned char>(run_.data()[i]));
   }
-  return kids_[i];
+  throw ConversionError("child index " + std::to_string(i) +
+                        " out of range in " + to_string());
 }
 
 std::optional<std::vector<Value>> Value::as_list() const {
-  if (kind_ == Kind::List) return kids_;
+  if (kind_ == Kind::List) {
+    if (!run_) return kids_;
+    std::vector<Value> out;
+    out.reserve(run_.size());
+    for (size_t i = 0; i < run_.size(); ++i) {
+      out.push_back(character(static_cast<unsigned char>(run_.data()[i])));
+    }
+    return out;
+  }
   // Accept a nil/cons chain.
   std::vector<Value> out;
   const Value* cur = this;
@@ -74,23 +116,10 @@ std::optional<std::vector<Value>> Value::as_list() const {
   }
 }
 
-Value Value::chain_from_list(const std::vector<Value>& elems, uint32_t nil_arm,
+Value Value::chain_from_list(std::vector<Value>&& elems, uint32_t nil_arm,
                              uint32_t cons_arm) {
   // Build each cons cell explicitly: an initializer list would copy the
   // accumulated chain on every step, turning construction quadratic.
-  Value chain = choice(nil_arm, unit());
-  for (auto it = elems.rbegin(); it != elems.rend(); ++it) {
-    std::vector<Value> cell;
-    cell.reserve(2);
-    cell.push_back(*it);
-    cell.push_back(std::move(chain));
-    chain = choice(cons_arm, record(std::move(cell)));
-  }
-  return chain;
-}
-
-Value Value::chain_from_list(std::vector<Value>&& elems, uint32_t nil_arm,
-                             uint32_t cons_arm) {
   Value chain = choice(nil_arm, unit());
   for (auto it = elems.rbegin(); it != elems.rend(); ++it) {
     std::vector<Value> cell;
@@ -107,7 +136,7 @@ std::string Value::to_string() const {
   switch (kind_) {
     case Kind::Unit: os << "unit"; break;
     case Kind::Int: os << mbird::to_string(int_); break;
-    case Kind::Real: os << real_; break;
+    case Kind::Real: os << as_real(); break;
     case Kind::Char: {
       uint32_t cp = static_cast<uint32_t>(int_);
       if (cp >= 0x20 && cp < 0x7f) {
@@ -131,9 +160,9 @@ std::string Value::to_string() const {
       break;
     case Kind::List: {
       os << '[';
-      for (size_t i = 0; i < kids_.size(); ++i) {
+      for (size_t i = 0; i < size(); ++i) {
         if (i) os << ", ";
-        os << kids_[i].to_string();
+        os << at(i).to_string();
       }
       os << ']';
       break;
@@ -150,12 +179,22 @@ bool operator==(const Value& a, const Value& b) {
     case Value::Kind::Int:
     case Value::Kind::Char:
     case Value::Kind::Port: return a.int_ == b.int_;
-    case Value::Kind::Real: return a.real_ == b.real_;
+    case Value::Kind::Real: return a.as_real() == b.as_real();
+    case Value::Kind::List:
+      if (a.run_ && b.run_) return a.packed_chars() == b.packed_chars();
+      if (a.run_ || b.run_) {
+        // One side packed: equal when the other holds the same Chars.
+        if (a.size() != b.size()) return false;
+        for (size_t i = 0; i < a.size(); ++i) {
+          if (!(a.at(i) == b.at(i))) return false;
+        }
+        return true;
+      }
+      return a.kids_ == b.kids_;
     case Value::Kind::Choice:
       if (a.arm_ != b.arm_) return false;
       [[fallthrough]];
-    case Value::Kind::Record:
-    case Value::Kind::List: return a.kids_ == b.kids_;
+    case Value::Kind::Record: return a.kids_ == b.kids_;
   }
   return false;
 }

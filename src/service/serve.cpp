@@ -109,6 +109,7 @@ void serve_stop_signal(int) { g_serve_stop.store(true); }
 }  // namespace
 
 std::string string_of(const Value& v) {
+  if (auto bytes = v.packed_chars()) return std::string(*bytes);
   std::string s;
   if (auto lst = v.as_list()) {
     s.reserve(lst->size());

@@ -44,6 +44,9 @@ class Sink {
     std::memcpy(&bits, &d, 8);
     big(bits, 8);
   }
+  void raw(const char* data, size_t len) {
+    out_.insert(out_.end(), data, data + len);
+  }
 
  private:
   std::vector<uint8_t>& out_;
@@ -76,6 +79,17 @@ class Source {
     std::memcpy(&d, &bits, 8);
     return d;
   }
+  /// The next `n` bytes, checked against the bytes left before any use.
+  /// A shortfall reports the end of the input, where reading the bytes
+  /// one at a time would have stopped.
+  std::string_view take(size_t n) {
+    if (n > len_ - pos_) {
+      throw WireError("truncated message at byte " + std::to_string(len_));
+    }
+    std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return s;
+  }
   [[nodiscard]] bool exhausted() const { return pos_ == len_; }
   [[nodiscard]] size_t pos() const { return pos_; }
   [[nodiscard]] size_t size() const { return len_; }
@@ -92,6 +106,11 @@ class Source {
 };
 
 constexpr int kMaxDepth = 100000;
+
+/// Chars of this repertoire travel as one byte each.
+bool one_byte(stype::Repertoire r) {
+  return r == stype::Repertoire::Ascii || r == stype::Repertoire::Latin1;
+}
 
 /// Segmentation state threaded through encode_node when chunking: the
 /// encoder appends into `buf` and ships full `max`-byte prefixes out
@@ -112,7 +131,41 @@ struct ChunkCtl {
 };
 
 void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth,
-                 ChunkCtl* ctl = nullptr) {
+                 ChunkCtl* ctl);
+
+/// Encode a List (either form) as its length and then its elements. A
+/// packed List sent as 1-byte Chars is appended as one run; every other
+/// case goes through at(i), so its bytes and errors are the element form's.
+void encode_list(const Graph& g, Ref elem, const Value& list, Sink& sink,
+                 int depth, ChunkCtl* ctl) {
+  sink.big(list.size(), 4);
+  if (auto run = list.packed_chars()) {
+    const auto& en = g.at(mtype::skip_var(g, elem));
+    if (en.kind == MKind::Char && one_byte(en.repertoire)) {
+      std::string_view rest = *run;
+      while (!rest.empty()) {
+        // Chunked, a slice fills no more than the room left in the current
+        // piece, so a flush never shifts the whole run down the buffer.
+        size_t n = rest.size();
+        if (ctl) {
+          ctl->maybe_flush();
+          n = std::min(n, ctl->max - ctl->buf->size());
+        }
+        sink.raw(rest.data(), n);
+        rest.remove_prefix(n);
+      }
+      if (ctl) ctl->maybe_flush();
+      return;
+    }
+  }
+  for (size_t i = 0; i < list.size(); ++i) {
+    encode_node(g, elem, list.at(i), sink, depth + 1, ctl);
+    if (ctl) ctl->maybe_flush();
+  }
+}
+
+void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth,
+                 ChunkCtl* ctl) {
   if (depth > kMaxDepth) throw WireError("encode recursion limit");
   type = mtype::skip_var(g, type);
   const auto& n = g.at(type);
@@ -128,8 +181,7 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
     }
     case MKind::Char: {
       uint32_t cp = v.as_char();
-      if (n.repertoire == stype::Repertoire::Ascii ||
-          n.repertoire == stype::Repertoire::Latin1) {
+      if (one_byte(n.repertoire)) {
         if (cp > 0xff) throw WireError("code point exceeds repertoire");
         sink.u8(static_cast<uint8_t>(cp));
       } else {
@@ -158,7 +210,7 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
       const Value* val = &v;
       Value chain;
       if (v.is(Value::Kind::List)) {
-        chain = Value::chain_from_list(v.children(), 0, 1);
+        chain = Value::chain_from_list(*v.as_list(), 0, 1);
         val = &chain;
       }
       if (!val->is(Value::Kind::Choice) || val->arm() >= n.children.size()) {
@@ -170,14 +222,16 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
     }
     case MKind::Rec: {
       auto elems = mtype::match_list_shape(g, type);
-      auto lst = v.as_list();
-      if (elems && elems->size() == 1 && lst) {
-        sink.big(lst->size(), 4);
-        for (const auto& e : *lst) {
-          encode_node(g, (*elems)[0], e, sink, depth + 1, ctl);
-          if (ctl) ctl->maybe_flush();
+      if (elems && elems->size() == 1) {
+        // A List is walked in place; only a nil/cons chain materializes.
+        if (v.is(Value::Kind::List)) {
+          encode_list(g, (*elems)[0], v, sink, depth, ctl);
+          return;
         }
-        return;
+        if (auto lst = v.as_list()) {
+          encode_list(g, (*elems)[0], Value::list(std::move(*lst)), sink, depth, ctl);
+          return;
+        }
       }
       encode_node(g, n.body(), v, sink, depth + 1, ctl);
       return;
@@ -187,32 +241,37 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
   }
 }
 
-Value decode_node(const Graph& g, Ref type, Source& src, int depth) {
+/// Decode into `out`, a default Value. Containers decode each child
+/// straight into its slot, so no decoded Value is moved out of a returned
+/// temporary.
+void decode_node(const Graph& g, Ref type, Source& src, int depth, Value& out) {
   if (depth > kMaxDepth) throw WireError("decode recursion limit");
   type = mtype::skip_var(g, type);
   const auto& n = g.at(type);
   switch (n.kind) {
-    case MKind::Unit: return Value::unit();
+    case MKind::Unit: return;
     case MKind::Int: {
       unsigned w = int_width(n.lo, n.hi);
       Int128 v = n.lo + static_cast<Int128>(src.big(w));
       if (v > n.hi) throw WireError("decoded integer exceeds range");
-      return Value::integer(v);
+      out = Value::integer(v);
+      return;
     }
-    case MKind::Char: {
-      if (n.repertoire == stype::Repertoire::Ascii ||
-          n.repertoire == stype::Repertoire::Latin1) {
-        return Value::character(src.u8());
-      }
-      return Value::character(static_cast<uint32_t>(src.big(4)));
-    }
+    case MKind::Char:
+      out = Value::character(one_byte(n.repertoire)
+                                 ? src.u8()
+                                 : static_cast<uint32_t>(src.big(4)));
+      return;
     case MKind::Real:
-      return n.mantissa_bits <= 24 ? Value::real(src.f32()) : Value::real(src.f64());
+      out = n.mantissa_bits <= 24 ? Value::real(src.f32()) : Value::real(src.f64());
+      return;
     case MKind::Record: {
-      std::vector<Value> kids;
-      kids.reserve(n.children.size());
-      for (Ref c : n.children) kids.push_back(decode_node(g, c, src, depth + 1));
-      return Value::record(std::move(kids));
+      std::vector<Value> kids(n.children.size());
+      for (size_t i = 0; i < kids.size(); ++i) {
+        decode_node(g, n.children[i], src, depth + 1, kids[i]);
+      }
+      out = Value::record(std::move(kids));
+      return;
     }
     case MKind::Choice: {
       uint32_t arm = static_cast<uint32_t>(src.big(4));
@@ -220,25 +279,37 @@ Value decode_node(const Graph& g, Ref type, Source& src, int depth) {
         throw WireError("choice discriminant " + std::to_string(arm) +
                         " out of range");
       }
-      return Value::choice(arm, decode_node(g, n.children[arm], src, depth + 1));
+      Value inner;
+      decode_node(g, n.children[arm], src, depth + 1, inner);
+      out = Value::choice(arm, std::move(inner));
+      return;
     }
     case MKind::Rec: {
       auto elems = mtype::match_list_shape(g, type);
       if (elems && elems->size() == 1) {
         uint32_t len = static_cast<uint32_t>(src.big(4));
         if (len > (1u << 28)) throw WireError("implausible sequence length");
-        std::vector<Value> out;
+        const auto& en = g.at(mtype::skip_var(g, (*elems)[0]));
+        if (en.kind == MKind::Char && one_byte(en.repertoire)) {
+          // One byte per char: the run is checked against the bytes left,
+          // then taken whole into a packed List.
+          out = Value::string(src.take(len));
+          return;
+        }
+        std::vector<Value> list;
         // The length is peer-supplied: reserve no more elements than there
         // are bytes left, so a forged length cannot allocate up front.
-        out.reserve(std::min<size_t>(len, src.size() - src.pos()));
+        list.reserve(std::min<size_t>(len, src.size() - src.pos()));
         for (uint32_t i = 0; i < len; ++i) {
-          out.push_back(decode_node(g, (*elems)[0], src, depth + 1));
+          decode_node(g, (*elems)[0], src, depth + 1, list.emplace_back());
         }
-        return Value::list(std::move(out));
+        out = Value::list(std::move(list));
+        return;
       }
-      return decode_node(g, n.body(), src, depth + 1);
+      decode_node(g, n.body(), src, depth + 1, out);
+      return;
     }
-    case MKind::Port: return Value::port(static_cast<uint64_t>(src.big(8)));
+    case MKind::Port: out = Value::port(static_cast<uint64_t>(src.big(8))); return;
     case MKind::Var: throw WireError("unreachable var");
   }
   throw WireError("unknown mtype kind");
@@ -257,7 +328,7 @@ void encode_into(const Graph& g, Ref type, const Value& v,
   size_t mark = out.size();
   try {
     Sink sink(out);
-    encode_node(g, type, v, sink, 0);
+    encode_node(g, type, v, sink, 0, nullptr);
   } catch (...) {
     out.resize(mark);
     throw;
@@ -266,7 +337,8 @@ void encode_into(const Graph& g, Ref type, const Value& v,
 
 Value decode(const Graph& g, Ref type, const uint8_t* data, size_t len) {
   Source src(data, len);
-  Value v = decode_node(g, type, src, 0);
+  Value v;
+  decode_node(g, type, src, 0, v);
   if (!src.exhausted()) {
     throw WireError("trailing bytes after message (at " +
                     std::to_string(src.pos()) + " of " +

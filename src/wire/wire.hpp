@@ -7,6 +7,12 @@
 // by precision, and canonical lists are length-prefixed sequences.
 // Multi-byte quantities are big-endian ("network order").
 //
+// A string — a list of chars in a 1-byte repertoire (Ascii or Latin1) — is
+// therefore its u32 length followed by one run of bytes. decode() takes the
+// run whole into a packed runtime::Value List, checking the claimed length
+// against the bytes left first; encode() writes a packed List to a 1-byte
+// repertoire with one append, and to anything else element by element.
+//
 // Frames (one per transported message):
 //   magic "MBIR" | version u16 | kind u8 | origin node u16 | seq u64 |
 //   cum_ack u64 | dest port u64 | payload len u32 | payload bytes

@@ -18,6 +18,10 @@
 // (e.g. a >0xff code point headed for a narrow char), the fused program
 // reports the wire error first while convert-then-encode reports the
 // conversion error. The test accepts exactly that divergence and no other.
+//
+// Every value runs a second time with each list of Latin1 chars in it held
+// in Value's packed form: both executors must return the same results and
+// errors, and the marshal paths the same bytes, as for the element form.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -137,11 +141,53 @@ Ref clone_iso(const Graph& g, Ref r, Graph& out, Rng& rng,
   return out.unit();
 }
 
+/// `v` (generated for `type`) with every list of Latin1 chars packed.
+Value pack_latin1(const Graph& g, Ref type, const Value& v) {
+  type = mtype::skip_var(g, type);
+  const auto& n = g.at(type);
+  switch (n.kind) {
+    case MKind::Record: {
+      std::vector<Value> kids;
+      for (size_t i = 0; i < n.children.size(); ++i) {
+        kids.push_back(pack_latin1(g, n.children[i], v.at(i)));
+      }
+      return Value::record(std::move(kids));
+    }
+    case MKind::Choice:
+      return Value::choice(v.arm(), pack_latin1(g, n.children[v.arm()], v.inner()));
+    case MKind::Rec: {
+      auto elems = mtype::match_list_shape(g, type);
+      if (!elems || elems->size() != 1) return pack_latin1(g, n.body(), v);
+      const auto& en = g.at(mtype::skip_var(g, (*elems)[0]));
+      if (en.kind == MKind::Char && en.repertoire == stype::Repertoire::Latin1) {
+        std::string chars;
+        for (const Value& e : v.children()) chars.push_back(static_cast<char>(e.as_char()));
+        return Value::string(chars);
+      }
+      std::vector<Value> out;
+      for (const Value& e : v.children()) out.push_back(pack_latin1(g, (*elems)[0], e));
+      return Value::list(std::move(out));
+    }
+    default: return v;
+  }
+}
+
 struct Outcome {
   bool ok = false;
   Value val;
   std::string error;
 };
+
+/// The packed run of a value must come out exactly like its element run.
+void expect_same(const Outcome& elems, const Outcome& packed, const char* who,
+                 uint64_t seed) {
+  ASSERT_EQ(elems.ok, packed.ok) << who << " seed " << seed << "\n  elements: "
+                                 << (elems.ok ? elems.val.to_string() : elems.error)
+                                 << "\n  packed: "
+                                 << (packed.ok ? packed.val.to_string() : packed.error);
+  EXPECT_EQ(elems.val, packed.val) << who << " seed " << seed;
+  EXPECT_EQ(elems.error, packed.error) << who << " seed " << seed;
+}
 
 template <typename F>
 Outcome run(F&& f) {
@@ -200,6 +246,9 @@ TEST_P(Differential, EngineMatchesTreeOracle) {
     Value v = runtime::random_value(c.ga, c.a, GetParam() * 1009 + vs);
     Outcome t = run([&] { return oracle.apply(c.root, v); });
     Outcome m = run([&] { return engine.apply(v); });
+    const Value p = pack_latin1(c.ga, c.a, v);
+    expect_same(t, run([&] { return oracle.apply(c.root, p); }), "tree", GetParam());
+    expect_same(m, run([&] { return engine.apply(p); }), "engine", GetParam());
     ASSERT_EQ(t.ok, m.ok) << "seed " << GetParam() << " value " << v.to_string()
                           << "\n  tree: " << (t.ok ? t.val.to_string() : t.error)
                           << "\n  engine: "
@@ -222,6 +271,9 @@ TEST_P(Differential, EngineMatchesTreeOracle) {
     Value v = runtime::random_value(gm, mutant, GetParam() * 31 + vs);
     Outcome t = run([&] { return oracle.apply(c.root, v); });
     Outcome m = run([&] { return engine.apply(v); });
+    const Value p = pack_latin1(gm, mutant, v);
+    expect_same(t, run([&] { return oracle.apply(c.root, p); }), "tree", GetParam());
+    expect_same(m, run([&] { return engine.apply(p); }), "engine", GetParam());
     ASSERT_EQ(t.ok, m.ok) << "seed " << GetParam() << " mutant "
                           << v.to_string() << "\n  tree: "
                           << (t.ok ? t.val.to_string() : t.error)
@@ -246,23 +298,36 @@ TEST_P(Differential, FusedMarshalMatchesConvertThenEncode) {
   runtime::Converter oracle(c.plan);
   runtime::ThreadedEngine engine(mp);
 
-  auto check = [&](const Value& v) {
+  struct Bytes {
     std::vector<uint8_t> fused, unfused;
     std::string ferr, uerr;
     bool fused_wire = false;
+  };
+  auto marshal_both = [&](const Value& v) {
+    Bytes b;
     try {
-      fused = engine.marshal(v);
+      b.fused = engine.marshal(v);
     } catch (const WireError& e) {
-      ferr = e.what();
-      fused_wire = true;
+      b.ferr = e.what();
+      b.fused_wire = true;
     } catch (const MbError& e) {
-      ferr = e.what();
+      b.ferr = e.what();
     }
     try {
-      unfused = wire::encode(c.gb, c.b, oracle.apply(c.root, v));
+      b.unfused = wire::encode(c.gb, c.b, oracle.apply(c.root, v));
     } catch (const MbError& e) {
-      uerr = e.what();
+      b.uerr = e.what();
     }
+    return b;
+  };
+  auto check = [&](const Graph& g, Ref type, const Value& v) {
+    const auto [fused, unfused, ferr, uerr, fused_wire] = marshal_both(v);
+    // The packed run must produce the element run's bytes and errors.
+    const Bytes packed = marshal_both(pack_latin1(g, type, v));
+    EXPECT_EQ(packed.fused, fused) << "seed " << GetParam() << " value " << v.to_string();
+    EXPECT_EQ(packed.unfused, unfused) << "seed " << GetParam();
+    EXPECT_EQ(packed.ferr, ferr) << "seed " << GetParam();
+    EXPECT_EQ(packed.uerr, uerr) << "seed " << GetParam();
     ASSERT_EQ(ferr.empty(), uerr.empty())
         << "seed " << GetParam() << " value " << v.to_string()
         << "\n  fused:   " << ferr << "\n  unfused: " << uerr;
@@ -280,18 +345,18 @@ TEST_P(Differential, FusedMarshalMatchesConvertThenEncode) {
   };
 
   for (uint64_t vs = 0; vs < 10; ++vs) {
-    check(runtime::random_value(c.ga, c.a, GetParam() * 523 + vs));
+    check(c.ga, c.a, runtime::random_value(c.ga, c.a, GetParam() * 523 + vs));
   }
   Graph gm;
   Rng mrng(GetParam() + 31337);
   Ref mutant = random_type(gm, mrng, 3);
   for (uint64_t vs = 0; vs < 6; ++vs) {
-    check(runtime::random_value(gm, mutant, GetParam() * 47 + vs));
+    check(gm, mutant, runtime::random_value(gm, mutant, GetParam() * 47 + vs));
   }
 }
 
 // 126 seeds x (48 + 16) convert values + 126 x 16 marshal values > 10,000
-// distinct value runs through both executors.
+// distinct value runs through both executors, each run once more packed.
 INSTANTIATE_TEST_SUITE_P(Seeds, Differential,
                          testing::Range<uint64_t>(0, 126));
 

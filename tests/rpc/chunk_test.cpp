@@ -16,6 +16,7 @@
 #include "runtime/convert.hpp"
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
+#include "support/rng.hpp"
 #include "wire/wire.hpp"
 
 namespace mbird::rpc {
@@ -312,6 +313,52 @@ TEST(Streaming, EncoderEmitsBoundedPiecesByteIdentical) {
   EXPECT_TRUE(saw_last);
   EXPECT_GE(pieces, reference.size() / kPiece);
   EXPECT_EQ(cat, reference);  // concatenation == the single-frame path
+}
+
+/// Chunks of encode_chunked, checked as they arrive: every piece but the
+/// last is exactly `max_piece` bytes. Returns their concatenation.
+std::vector<uint8_t> chunked_bytes(const Graph& g, Ref type, const Value& v,
+                                   size_t max_piece) {
+  std::vector<uint8_t> cat;
+  bool saw_last = false;
+  wire::encode_chunked(g, type, v, max_piece,
+                       [&](std::vector<uint8_t>&& piece, bool last) {
+                         EXPECT_FALSE(saw_last);
+                         if (last) {
+                           EXPECT_LE(piece.size(), max_piece);
+                           saw_last = true;
+                         } else {
+                           EXPECT_EQ(piece.size(), max_piece);
+                         }
+                         cat.insert(cat.end(), piece.begin(), piece.end());
+                       });
+  EXPECT_TRUE(saw_last);
+  return cat;
+}
+
+TEST(Streaming, PackedStringEmitsBoundedPiecesByteIdentical) {
+  std::string text(4u << 20, '\0');
+  Rng rng(4);
+  for (char& c : text) c = static_cast<char>(rng.below(256));
+  const Value packed = Value::string(text);
+  ASSERT_TRUE(packed.packed_chars().has_value());
+  Graph g;
+  for (auto rep : {stype::Repertoire::Latin1, stype::Repertoire::Unicode}) {
+    Ref str = g.list_of(g.character(rep));
+    Ref rec = g.record({g.integer(0, 9), str, g.integer(0, 70000)});
+    const Value inv =
+        Value::record({Value::integer(3), packed, Value::integer(65536)});
+    const std::vector<uint8_t> reference = wire::encode(g, rec, inv);
+    EXPECT_EQ(chunked_bytes(g, rec, inv, 256 * 1024), reference);
+    // Pieces smaller than a length prefix or a 4-byte char.
+    const Value small =
+        Value::record({Value::integer(3), Value::string(text.substr(0, 40)),
+                       Value::integer(7)});
+    for (size_t piece : {1, 3, 5, 64}) {
+      EXPECT_EQ(chunked_bytes(g, rec, small, piece), wire::encode(g, rec, small))
+          << "piece " << piece;
+    }
+  }
 }
 
 TEST(Streaming, MarshalChunkedMatchesEncode) {

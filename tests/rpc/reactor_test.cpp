@@ -236,6 +236,44 @@ TEST(Reactor, ChunkedMessageThroughReactor) {
   EXPECT_GT(server.stats().chunks_received, 10u);
 }
 
+TEST(Reactor, PackedStringEchoesInChunks) {
+  // A 1 MiB Latin1 string echoed through the reactor crosses the socket as
+  // CHUNK frames both ways and comes back packed and byte-identical.
+  Graph g;
+  Ref blob = g.record({g.list_of(g.character(stype::Repertoire::Latin1))},
+                      {"payload"});
+  Ref invocation = g.record({blob, g.port(blob)}, {"args", "reply"});
+  Node server(1);
+  Reactor reactor(server);
+  reactor.listen(test_addr("packed"));
+  uint64_t echo = serve_function(server, g, invocation,
+                                 [](const Value& args) { return args; });
+
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* client = dial_client(owned, 2, reactor, reactor.listen_address());
+  std::optional<Value> reply;
+  uint64_t rp = client->open_port(
+      &g, blob, [&](const Value& v) { reply = v; }, true);
+  std::string text(1u << 20, '\0');
+  for (size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>(i * 131 + (i >> 9));
+  }
+  client->send(echo, g, invocation,
+               Value::record({Value::record({Value::string(text)}),
+                              Value::port(rp)}));
+
+  ASSERT_TRUE(drive(reactor, {client}, [&] { return reply.has_value(); }));
+  const auto chars = reply->at(0).packed_chars();
+  ASSERT_TRUE(chars.has_value());
+  EXPECT_EQ(*chars, text);
+  EXPECT_EQ(client->stats().messages_chunked, 1u);
+  EXPECT_GT(server.stats().chunks_received, 10u);
+  EXPECT_EQ(server.stats().messages_reassembled, 1u);
+  EXPECT_EQ(server.stats().messages_chunked, 1u);
+  EXPECT_GT(client->stats().chunks_received, 10u);
+  EXPECT_EQ(client->stats().messages_reassembled, 1u);
+}
+
 TEST(Reactor, BackpressureStallsAndResumes) {
   // With a 1-buffer high-water mark the reply's unacked frame trips the
   // stall (EPOLLIN shed), and the stall clears once the pool drains —

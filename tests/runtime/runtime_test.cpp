@@ -62,7 +62,7 @@ TEST(Value, AsListAcceptsBothEncodings) {
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(direct->size(), 2u);
 
-  Value chain = Value::chain_from_list(lst.children(), 0, 1);
+  Value chain = Value::chain_from_list(*lst.as_list(), 0, 1);
   EXPECT_EQ(chain.kind(), Value::Kind::Choice);
   auto via_chain = chain.as_list();
   ASSERT_TRUE(via_chain.has_value());
@@ -75,6 +75,86 @@ TEST(Value, StringHelper) {
   Value s = Value::string("hi");
   ASSERT_EQ(s.size(), 2u);
   EXPECT_EQ(s.at(0).as_char(), 'h');
+}
+
+/// The element form of a list of 8-bit characters.
+Value element_chars(std::string_view s) {
+  std::vector<Value> elems;
+  for (char c : s) elems.push_back(Value::character(static_cast<unsigned char>(c)));
+  return Value::list(std::move(elems));
+}
+
+TEST(Value, StringIsPacked) {
+  const std::string bytes = "h\x00\x7f\x80\xff!";
+  Value s = Value::string(std::string_view(bytes.data(), 6));
+  ASSERT_TRUE(s.packed_chars().has_value());
+  EXPECT_EQ(*s.packed_chars(), std::string_view(bytes.data(), 6));
+  EXPECT_EQ(s.kind(), Value::Kind::List);
+  EXPECT_FALSE(Value::list({}).packed_chars().has_value());
+  EXPECT_FALSE(element_chars("hi").packed_chars().has_value());
+  EXPECT_FALSE(Value::record({}).packed_chars().has_value());
+}
+
+TEST(Value, PackedAndElementFormsAreEqualBothWays) {
+  for (std::string_view text :
+       {std::string_view(""), std::string_view("a"), std::string_view("\x80\xff\x00z", 4)}) {
+    Value packed = Value::string(text);
+    Value elems = element_chars(text);
+    EXPECT_EQ(packed, elems);
+    EXPECT_EQ(elems, packed);
+    EXPECT_EQ(packed, Value::string(text));
+  }
+  EXPECT_NE(Value::string("ab"), element_chars("ac"));
+  EXPECT_NE(element_chars("ab"), Value::string("abc"));
+  EXPECT_NE(Value::string("ab"), Value::string("abc"));
+  // Element forms that no packed list can hold.
+  EXPECT_NE(Value::string("a"), Value::list({Value::character(0x161)}));
+  EXPECT_NE(Value::list({Value::integer('a')}), Value::string("a"));
+  EXPECT_NE(Value::string("a"), Value::record({Value::character('a')}));
+}
+
+TEST(Value, PackedAnswersLikeElementForm) {
+  const std::string text = std::string("Hi \x01\x7f\x80\xe9\xff", 8);
+  Value packed = Value::string(text);
+  Value elems = element_chars(text);
+  ASSERT_EQ(packed.size(), elems.size());
+  for (size_t i = 0; i < packed.size(); ++i) {
+    EXPECT_EQ(packed.at(i), elems.at(i));
+    EXPECT_EQ(packed.at(i).as_char(), static_cast<unsigned char>(text[i]));
+  }
+  EXPECT_THROW((void)packed.at(text.size()), ConversionError);
+  ASSERT_TRUE(packed.as_list().has_value());
+  EXPECT_EQ(*packed.as_list(), elems.children());
+  EXPECT_FALSE(packed.as_list()->front().packed_chars().has_value());
+  EXPECT_EQ(packed.to_string(), elems.to_string());
+  EXPECT_EQ(Value::string("").to_string(), "[]");
+  // at() hands out one immortal Char per code point: the reference stays
+  // valid after its list is gone.
+  const Value& x = Value::string("x").at(0);
+  EXPECT_EQ(&x, &Value::string("yx").at(1));
+  EXPECT_EQ(x.as_char(), 'x');
+}
+
+TEST(Value, PackedChildrenThrows) {
+  Value packed = Value::string("abc");
+  EXPECT_THROW((void)packed.children(), ConversionError);
+  EXPECT_THROW((void)Value::string("").children(), ConversionError);
+  EXPECT_NO_THROW((void)element_chars("abc").children());
+}
+
+TEST(Value, PackedCopiesShareTheRun) {
+  Value a = Value::string("shared bytes");
+  Value b = a;
+  ASSERT_TRUE(a.packed_chars() && b.packed_chars());
+  EXPECT_EQ(a.packed_chars()->data(), b.packed_chars()->data());
+  Value c = std::move(b);
+  EXPECT_EQ(c.packed_chars()->data(), a.packed_chars()->data());
+  c = Value::integer(3);  // drops one reference; a still reads its bytes
+  EXPECT_EQ(*a.packed_chars(), "shared bytes");
+  Value d;
+  d = a;
+  a = Value::unit();
+  EXPECT_EQ(*d.packed_chars(), "shared bytes");
 }
 
 TEST(Value, Printing) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "runtime/conform.hpp"
+#include "support/rng.hpp"
 #include "wire/wire.hpp"
 
 namespace mbird::wire {
@@ -124,6 +127,79 @@ TEST(Wire, ForgedListLengthRejectedBeforeAllocating) {
   Ref str = g.list_of(g.character(stype::Repertoire::Latin1));
   const std::vector<uint8_t> bytes = {0x0f, 0xff, 0xff, 0xff};
   EXPECT_THROW(decode(g, str, bytes), WireError);
+}
+
+/// The element form of a list of 8-bit characters.
+Value element_chars(std::string_view s) {
+  std::vector<Value> elems;
+  for (char c : s) elems.push_back(Value::character(static_cast<unsigned char>(c)));
+  return Value::list(std::move(elems));
+}
+
+/// Random bytes over the whole 0x00-0xff range; every fourth string is empty.
+std::string random_bytes(Rng& rng) {
+  std::string s(rng.below(4) == 0 ? 0 : rng.below(300), '\0');
+  for (char& c : s) c = static_cast<char>(rng.below(256));
+  return s;
+}
+
+TEST(Wire, PackedAndElementFormsEncodeIdentically) {
+  Graph g;
+  Rng rng(17);
+  for (auto rep : {stype::Repertoire::Ascii, stype::Repertoire::Latin1,
+                   stype::Repertoire::Ucs2, stype::Repertoire::Unicode}) {
+    Ref str = g.list_of(g.character(rep));
+    Ref rec = g.record({g.integer(0, 9), str, str});
+    for (int i = 0; i < 50; ++i) {
+      const std::string s = random_bytes(rng), t = random_bytes(rng);
+      const auto bytes = encode(g, str, element_chars(s));
+      EXPECT_EQ(encode(g, str, Value::string(s)), bytes) << stype::to_string(rep);
+      EXPECT_EQ(encode(g, rec, Value::record({Value::integer(1), Value::string(s),
+                                              element_chars(t)})),
+                encode(g, rec, Value::record({Value::integer(1), element_chars(s),
+                                              Value::string(t)})));
+      EXPECT_EQ(decode(g, str, bytes), Value::string(s));
+    }
+  }
+}
+
+TEST(Wire, OneByteRepertoireDecodesPacked) {
+  Graph g;
+  const std::string s = std::string("Latin \x80\xe9\xff\x00", 10);
+  for (auto rep : {stype::Repertoire::Ascii, stype::Repertoire::Latin1}) {
+    Ref str = g.list_of(g.character(rep));
+    Value back = decode(g, str, encode(g, str, element_chars(s)));
+    ASSERT_TRUE(back.packed_chars().has_value());
+    EXPECT_EQ(*back.packed_chars(), s);
+    EXPECT_EQ(back, element_chars(s));
+    EXPECT_EQ(element_chars(s), back);
+  }
+  // 4-byte repertoires decode to the element form.
+  Ref wide = g.list_of(g.character(stype::Repertoire::Unicode));
+  Value back = decode(g, wide, encode(g, wide, Value::string(s)));
+  EXPECT_FALSE(back.packed_chars().has_value());
+  EXPECT_EQ(back, Value::string(s));
+}
+
+TEST(Wire, PackedAgainstNonCharElementsThrowsLikeElementForm) {
+  Graph g;
+  const Ref point = g.record({g.real(24, 8), g.real(24, 8)});
+  for (Ref bad : {g.list_of(g.integer(0, 255)), g.list_of(point),
+                  g.list_of(g.real(53, 11))}) {
+    std::string packed_err, element_err;
+    try {
+      (void)encode(g, bad, Value::string("ab"));
+    } catch (const MbError& e) {
+      packed_err = std::string(typeid(e).name()) + ": " + e.what();
+    }
+    try {
+      (void)encode(g, bad, element_chars("ab"));
+    } catch (const MbError& e) {
+      element_err = std::string(typeid(e).name()) + ": " + e.what();
+    }
+    EXPECT_FALSE(packed_err.empty());
+    EXPECT_EQ(packed_err, element_err);
+  }
 }
 
 TEST(Wire, TrailingBytesDetected) {
