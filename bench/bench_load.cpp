@@ -86,10 +86,12 @@ ClientTotals run_client(uint16_t node_id, const std::string& addr,
                         const service::ServeProtocol& proto,
                         obs::Histogram& latency_us) {
   ClientTotals totals;
-  // Backoff is measured in poll ticks and this loop polls every ~100µs, so
-  // the defaults (first retransmit after 2 ticks) would flood a server
-  // whose reactor iterates at millisecond granularity with spurious
-  // retransmits. Stretch the backoff to match the polling cadence.
+  // Only a --loss run's make_lossy link is sequenced; a plain socket client
+  // never retransmits. Backoff is measured in poll ticks and this loop
+  // polls every ~100µs, so the defaults (first retransmit after 2 ticks)
+  // would flood a server whose reactor ticks at millisecond granularity
+  // with spurious retransmits. Stretch the backoff to match the polling
+  // cadence.
   rpc::ReliabilityOptions relopts;
   relopts.initial_backoff = 256;
   relopts.max_backoff = 4096;
@@ -126,8 +128,9 @@ ClientTotals run_client(uint16_t node_id, const std::string& addr,
         t0 + std::chrono::milliseconds(opt.call_timeout_ms);
     // Exponentially ramped idle sleep: a fleet of waiting clients backs off
     // the shared core quickly (the reply is CPU-bound on the server side),
-    // and since retransmit backoff counts poll ticks, slower polling while
-    // waiting also means fewer spurious retransmits under contention.
+    // and since a lossy client's retransmit backoff counts poll ticks,
+    // slower polling while waiting also means fewer spurious retransmits
+    // under contention.
     uint64_t idle_us = 100;
     while (!reply && Clock::now() < deadline) {
       if (node.poll() == 0) {
@@ -271,8 +274,9 @@ int main(int argc, char** argv) {
   std::thread server_thread;
   if (addr.empty()) {
     addr = "unix:/tmp/bench_load_" + std::to_string(::getpid()) + ".sock";
-    // The reactor ticks roughly once per millisecond; stretch reply
-    // backoff accordingly (same reasoning as the client side above).
+    // The reactor ticks roughly once per millisecond while a sequenced
+    // (lossy) client has replies in flight; stretch their backoff
+    // accordingly (same reasoning as the client side above).
     rpc::ReliabilityOptions server_relopts;
     server_relopts.initial_backoff = 8;
     server_relopts.max_backoff = 256;
@@ -281,6 +285,7 @@ int main(int argc, char** argv) {
     reactor->listen(addr);
     echo_port = rpc::serve_function(*server, proto.g, proto.echo_invocation,
                                     [](const Value& args) { return args; });
+    // A finite wait cap lets the idle loop see the stop flag.
     server_thread = std::thread(
         [&] { reactor->run([&] { return stop.load(); }, /*timeout_ms=*/1); });
   }

@@ -7,11 +7,13 @@
 # Two runs against the embedded reactor server:
 #
 #   clean  - 8 clients x 125 calls (1k aggregate) at 0% loss, concurrent.
-#            Gate: zero timeouts, zero reply mismatches, and p99 call
-#            latency under a deliberately generous 2s budget — this is a
-#            liveness gate (nothing wedged, nothing dropped), not a
-#            performance gate; the committed BENCH_load.json numbers come
-#            from a quiet host via the default bench_load run.
+#            Gate: zero timeouts, zero reply mismatches, p99 call latency
+#            under a deliberately generous 2s budget — this is a liveness
+#            gate (nothing wedged, nothing dropped), not a performance
+#            gate; the committed BENCH_load.json numbers come from a quiet
+#            host via the default bench_load run — and zero client and
+#            zero server retransmits: stream links run no retransmit
+#            machinery, so a clean run has nothing to resend.
 #   lossy  - 8 clients x 25 calls over a 5%-drop lossy link. Gate: zero
 #            lost replies — every call must complete via cumulative-ack
 #            retransmission, proving loss recovery end to end (including
@@ -51,6 +53,11 @@ if cc["timeouts"] or cc["mismatches"]:
 if cc["latency_us"]["p99"] > P99_BUDGET_US:
     sys.exit(f"FAIL: clean p99 {cc['latency_us']['p99']}us exceeds "
              f"{P99_BUDGET_US}us budget")
+clean_srv = clean.get("server_stats", {})
+print(f"clean: client retransmits {cc['client_retransmits']}, "
+      f"server retransmits {clean_srv.get('retransmits', '?')}")
+if cc["client_retransmits"] != 0 or clean_srv.get("retransmits") != 0:
+    sys.exit("FAIL: retransmits at 0% loss")
 
 lc = lossy["concurrent"]
 srv = lossy.get("server_stats", {})

@@ -1,6 +1,7 @@
 #include "rpc/reactor.hpp"
 
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,23 +36,6 @@ ReactorMetrics& xm() {
   return m;
 }
 
-/// The Link a Reactor registers on its Node: send feeds the SocketPeer's
-/// buffered writer (never throws — a dead peer reads as frame loss until
-/// the reactor retires it), poll pops frames the readiness loop already
-/// ingested (no syscalls on the node's path).
-class ReactorLink : public transport::Link {
- public:
-  explicit ReactorLink(std::shared_ptr<transport::SocketPeer> sock)
-      : sock_(std::move(sock)) {}
-  void send(std::vector<uint8_t> frame) override {
-    sock_->send(std::move(frame));
-  }
-  std::optional<std::vector<uint8_t>> poll() override { return sock_->poll(); }
-
- private:
-  std::shared_ptr<transport::SocketPeer> sock_;
-};
-
 /// Peer node id from a complete frame's header (origin field, big-endian
 /// u16 at bytes [7..9)); nullopt if the frame is too short to carry one.
 std::optional<uint16_t> frame_origin(const std::vector<uint8_t>& frame) {
@@ -63,15 +47,33 @@ std::optional<uint16_t> frame_origin(const std::vector<uint8_t>& frame) {
 }  // namespace
 
 Reactor::Reactor(Node& node, ReactorOptions opts)
-    : node_(node), opts_(opts) {
+    : node_(node),
+      opts_(opts),
+      events_(static_cast<size_t>(std::max(opts.max_events, 1))) {
   epfd_ = epoll_create1(EPOLL_CLOEXEC);
   if (epfd_ < 0) {
     throw TransportError(std::string("epoll_create1: ") + std::strerror(errno));
   }
+  wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (wake_fd_ < 0 || epoll_ctl(epfd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    const std::string why = std::strerror(errno);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    ::close(epfd_);
+    throw TransportError("reactor wake fd: " + why);
+  }
 }
 
 Reactor::~Reactor() {
-  if (epfd_ >= 0) ::close(epfd_);
+  ::close(wake_fd_);
+  ::close(epfd_);
+}
+
+void Reactor::wake() const {
+  const uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
 void Reactor::listen(const std::string& addr) {
@@ -110,7 +112,7 @@ void Reactor::add_peer(uint16_t peer_id, int fd) {
   conn.sock = std::make_shared<transport::SocketPeer>(fd);
   conn.peer_id = peer_id;
   conn.identified = true;
-  node_.connect(peer_id, std::make_shared<ReactorLink>(conn.sock));
+  node_.connect(peer_id, conn.sock);
   fd_by_peer_[peer_id] = fd;
   register_conn(fd, std::move(conn));
 }
@@ -121,6 +123,7 @@ void Reactor::accept_pending() {
     if (fd < 0) return;
     Conn conn;
     conn.sock = std::make_shared<transport::SocketPeer>(fd);
+    conn.accepted = true;
     xm().accepts.add();
     register_conn(fd, std::move(conn));
   }
@@ -149,7 +152,7 @@ size_t Reactor::service(Conn& c, uint32_t events, bool& dead) {
           retire(prev->second);
         }
         fd_by_peer_[c.peer_id] = c.sock->fd();
-        node_.connect(c.peer_id, std::make_shared<ReactorLink>(c.sock));
+        node_.connect(c.peer_id, c.sock);
       } else {
         // Garbage shorter than a frame header: drop the connection.
         alive = false;
@@ -196,12 +199,16 @@ void Reactor::update_interest() {
   if (!stalled_ && outstanding >= opts_.pool_high_water) {
     stalled_ = true;
     xm().stalls.add();
-    xm().stalled.set(1);
   } else if (stalled_ && outstanding <= opts_.pool_low_water) {
     stalled_ = false;
-    xm().stalled.set(0);
   }
+  // An accepted connection whose unsent replies exceed what a sequenced
+  // channel may have in flight is not reading them; stop reading its
+  // requests until they drain.
+  const ReliabilityOptions& ro = node_.reliability();
+  const size_t held_cap = ro.send_window * ro.max_frame_payload;
   size_t max_depth = 0;
+  size_t held_stalled = 0;
   for (auto& [fd, c] : conns_) {
     if (c.identified) {
       const size_t depth = node_.send_queue_depth(c.peer_id);
@@ -213,10 +220,19 @@ void Reactor::update_interest() {
       }
       g->set(static_cast<int64_t>(depth));
     }
-    // Unidentified connections keep EPOLLIN even under stall: their first
-    // frame carries no payload burden and unblocks identification.
-    uint32_t want =
-        (!stalled_ || !c.identified) ? static_cast<uint32_t>(EPOLLIN) : 0u;
+    const size_t held = c.sock->held_bytes();
+    if (c.accepted && !c.held_stall && held > held_cap) {
+      c.held_stall = true;
+      xm().stalls.add();
+    } else if (c.held_stall && held == 0) {
+      c.held_stall = false;
+    }
+    if (c.held_stall) ++held_stalled;
+    // Unidentified connections keep EPOLLIN even under the node-wide
+    // stall: their first frame carries no payload burden and unblocks
+    // identification.
+    const bool read = !c.held_stall && (!stalled_ || !c.identified);
+    uint32_t want = read ? static_cast<uint32_t>(EPOLLIN) : 0u;
     if (c.sock->wants_write()) want |= EPOLLOUT;
     if (want == c.events) continue;
     epoll_event ev{};
@@ -225,12 +241,24 @@ void Reactor::update_interest() {
     epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
     c.events = want;
   }
+  held_stalled_ = held_stalled;
+  xm().stalled.set(stalled() ? 1 : 0);
   xm().queue_depth.set_max(static_cast<int64_t>(max_depth));
 }
 
 size_t Reactor::run_once(int timeout_ms) {
-  std::vector<epoll_event> evs(static_cast<size_t>(opts_.max_events));
-  int n = epoll_wait(epfd_, evs.data(), opts_.max_events, timeout_ms);
+  // Wait only as long as nothing is due: queued local deliveries run now,
+  // a sequenced channel's timers run on the 1 ms tick, and otherwise the
+  // next event (or the caller's cap) ends the wait.
+  int wait = -1;
+  if (node_.has_local_deliveries()) {
+    wait = 0;
+  } else if (node_.needs_tick()) {
+    wait = 1;
+  }
+  if (timeout_ms >= 0 && (wait < 0 || timeout_ms < wait)) wait = timeout_ms;
+  int n = epoll_wait(epfd_, events_.data(), static_cast<int>(events_.size()),
+                     wait);
   if (n < 0) {
     if (errno == EINTR) n = 0;
     else
@@ -241,7 +269,13 @@ size_t Reactor::run_once(int timeout_ms) {
   size_t ready = 0;
   std::vector<int> dead_fds;
   for (int i = 0; i < n; ++i) {
-    int fd = evs[static_cast<size_t>(i)].data.fd;
+    const epoll_event& ev = events_[static_cast<size_t>(i)];
+    const int fd = ev.data.fd;
+    if (fd == wake_fd_) {
+      uint64_t count = 0;
+      [[maybe_unused]] ssize_t r = ::read(wake_fd_, &count, sizeof count);
+      continue;
+    }
     if (listener_ && fd == listener_->fd()) {
       accept_pending();
       continue;
@@ -250,7 +284,7 @@ size_t Reactor::run_once(int timeout_ms) {
     if (it == conns_.end()) continue;
     ++ready;
     bool dead = false;
-    processed += service(it->second, evs[static_cast<size_t>(i)].events, dead);
+    processed += service(it->second, ev.events, dead);
     if (dead) dead_fds.push_back(fd);
   }
   for (int fd : dead_fds) retire(fd);

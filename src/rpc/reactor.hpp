@@ -10,19 +10,39 @@
 // iteration (Node::tick), so retransmission backoff is driven by wall-time
 // iterations instead of per-peer polls.
 //
+// The idle wait: an iteration blocks only as long as nothing is due. While
+// a sequenced channel (a peer running the reliability sublayer) holds
+// unacked or backlogged frames or owes an ack, iterations come at least
+// every millisecond, so backoff ticks keep their pace; while local
+// deliveries are queued the wait is zero; otherwise the loop sleeps until
+// the next readiness event (or the caller's cap). Stream-only traffic
+// therefore costs no wakeups between requests. wake() makes a blocked wait
+// return from any thread or a signal handler.
+//
 // Peers arrive two ways: listen() accepts unidentified connections whose
 // node id is learned from the origin field of their first frame (the wire
 // protocol needs no handshake), and add_peer() adopts a connected fd whose
 // peer id the caller already knows (client side, tests). A reconnect for an
 // already-known peer id retires the stale connection.
 //
-// Backpressure: when the node's BufferPool occupancy (outstanding
-// buffers ≈ unacked + backlogged frames across peers) crosses the
-// high-water mark, the reactor stops arming EPOLLIN — inbound frames stay
-// in the kernel and TCP flow control pushes back on senders — and resumes
-// below the low-water mark. Stall transitions, ready-peer counts, and
-// send-queue depths land in the rpc.reactor.* instruments.
+// Backpressure has two signals, and either stops the reactor arming
+// EPOLLIN, so inbound frames stay in the kernel and socket flow control
+// pushes back on the sender:
+//   * per accepted connection: a SocketPeer holding more unsent bytes than
+//     the node's send_window × max_frame_payload (4 MiB by default) — its
+//     client is not reading its replies — stops being read until those
+//     bytes drain. Connections adopted with add_peer() keep reading: two
+//     reactors joined that way that both stopped reading would never drain
+//     each other;
+//   * node-wide, for sequenced channels: when the BufferPool occupancy
+//     (outstanding buffers ≈ unacked + backlogged frames) crosses the
+//     high-water mark, every identified connection stops being read until
+//     occupancy falls below the low-water mark.
+// Stall transitions, ready-peer counts, and send-queue depths land in the
+// rpc.reactor.* instruments.
 #pragma once
+
+#include <sys/epoll.h>
 
 #include <cstdint>
 #include <functional>
@@ -39,7 +59,8 @@ namespace mbird::rpc {
 
 struct ReactorOptions {
   /// Stop arming EPOLLIN while BufferPool::outstanding() is at or above
-  /// this (inbound load shedding via kernel buffers + TCP flow control).
+  /// this (inbound load shedding via kernel buffers + TCP flow control;
+  /// only sequenced channels hold buffers long enough to reach it).
   size_t pool_high_water = 4096;
   /// Re-arm EPOLLIN once occupancy falls to or below this.
   size_t pool_low_water = 2048;
@@ -65,20 +86,30 @@ class Reactor {
   /// already known; registers the link on the node immediately.
   void add_peer(uint16_t peer_id, int fd);
 
-  /// One iteration: wait up to `timeout_ms` for readiness, accept pending
-  /// connections, service ready peers, then advance the node's clock
-  /// (retransmits, acks, local deliveries) and refresh write interest.
-  /// Returns messages delivered to ports.
-  size_t run_once(int timeout_ms = 1);
+  /// One iteration: wait for readiness as long as nothing is due (see the
+  /// idle wait above), but no longer than `timeout_ms` when it is not
+  /// negative; accept pending connections, service ready peers, then
+  /// advance the node's clock (retransmits, acks, local deliveries) and
+  /// refresh read and write interest. Returns messages delivered to ports.
+  size_t run_once(int timeout_ms = -1);
 
   /// Loop run_once until `should_stop()` returns true (checked every
-  /// iteration). Returns total messages delivered.
-  size_t run(const std::function<bool()>& should_stop, int timeout_ms = 1);
+  /// iteration). With no cap an idle loop sleeps until an event, so a stop
+  /// condition set from outside the loop must be followed by wake().
+  /// Returns total messages delivered.
+  size_t run(const std::function<bool()>& should_stop, int timeout_ms = -1);
+
+  /// Make the current or next wait return at once. Async-signal-safe (one
+  /// write(2) to an eventfd the loop polls) and callable from any thread.
+  void wake() const;
 
   /// Connections currently registered (identified or not).
   [[nodiscard]] size_t peer_count() const { return conns_.size(); }
-  /// True while inbound reads are shed for backpressure.
-  [[nodiscard]] bool stalled() const { return stalled_; }
+  /// True while inbound reads are shed for backpressure, node-wide or on
+  /// any one connection.
+  [[nodiscard]] bool stalled() const {
+    return stalled_ || held_stalled_ != 0;
+  }
   [[nodiscard]] Node& node() { return node_; }
 
  private:
@@ -86,7 +117,9 @@ class Reactor {
     std::shared_ptr<transport::SocketPeer> sock;
     uint16_t peer_id = 0;
     bool identified = false;
+    bool accepted = false;  // came through listen(); may stall on held bytes
     uint32_t events = 0;  // epoll interest currently armed
+    bool held_stall = false;  // not read until its unsent bytes drain
   };
 
   void accept_pending();
@@ -100,10 +133,13 @@ class Reactor {
   Node& node_;
   ReactorOptions opts_;
   int epfd_ = -1;
+  int wake_fd_ = -1;  // eventfd written by wake()
+  std::vector<epoll_event> events_;  // epoll_wait output, reused
   std::unique_ptr<transport::ListenSocket> listener_;
   std::map<int, Conn> conns_;            // by fd
   std::map<uint16_t, int> fd_by_peer_;   // identified peers -> fd
-  bool stalled_ = false;
+  bool stalled_ = false;      // node-wide pool-occupancy stall
+  size_t held_stalled_ = 0;   // connections stalled on unsent bytes
   // Per-peer inflight gauges (rpc.peer.<id>.inflight), resolved once per
   // peer id — registry lookups are by string, too slow for every loop.
   std::map<uint16_t, obs::Gauge*> peer_inflight_;

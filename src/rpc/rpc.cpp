@@ -1,6 +1,7 @@
 #include "rpc/rpc.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 
 #include "obs/flightrec.hpp"
@@ -42,7 +43,9 @@ bool Node::is_once_port(uint64_t port) const {
 }
 
 void Node::connect(uint16_t peer, std::shared_ptr<transport::Link> link) {
-  peers_[peer].link = std::move(link);
+  PeerState& ps = peers_[peer];
+  ps.link = std::move(link);
+  ps.sequenced = ps.sequenced || !ps.link->reliable();
 }
 
 void Node::transmit(PeerState& ps, PeerState::Pending& p) {
@@ -50,7 +53,7 @@ void Node::transmit(PeerState& ps, PeerState::Pending& p) {
   p.backoff = relopts_.initial_backoff;
   p.next_resend_tick = tick_ + p.backoff;
   ps.resend_heap.emplace(p.next_resend_tick, p.seq);
-  ps.link->send(p.bytes);
+  ps.link->send(p.bytes, {});
 }
 
 void Node::send(uint64_t dest_port, const Graph& g, Ref msg_type, const Value& v) {
@@ -85,8 +88,9 @@ void Node::note_queue_depth(const PeerState& ps) {
   stats_.max_queue_depth.set_max(ps.unacked.size() + ps.backlog.size());
 }
 
-void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
-                           std::vector<uint8_t> payload) {
+void Node::emit_frame(uint64_t dest_port, wire::FrameKind kind,
+                      std::span<const uint8_t> sub,
+                      std::span<const uint8_t> body) {
   uint16_t dest_node = node_of(dest_port);
   auto it = peers_.find(dest_node);
   if (it == peers_.end()) {
@@ -94,37 +98,47 @@ void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
                          std::to_string(dest_node));
   }
   PeerState& ps = it->second;
-  wire::Frame f;
-  f.kind = kind;
-  f.origin_node = id_;
-  f.seq = ps.next_seq++;
-  f.cum_ack = ps.cum_recv;  // piggybacked ack for the reverse direction
-  f.dest_port = dest_port;
+  wire::FrameHeader h;
+  h.kind = kind;
+  h.origin_node = id_;
+  if (ps.sequenced) {
+    h.seq = ps.next_seq++;
+    h.cum_ack = ps.cum_recv;  // piggybacked ack for the reverse direction
+  }
+  h.dest_port = dest_port;
   // Stamp the caller's trace context (innermost open span, or a context
   // adopted from an upstream frame) so the receiver can open its handling
   // spans as children. Packed into the frame bytes, so retransmits carry
   // it verbatim.
   const obs::TraceContext ctx = obs::current_context();
   if (ctx.valid()) {
-    f.trace_id = ctx.trace_id;
-    f.parent_span_id = ctx.span_id;
-    f.sampled = ctx.sampled;
+    h.trace_id = ctx.trace_id;
+    h.parent_span_id = ctx.span_id;
+    h.sampled = ctx.sampled;
   }
-  f.payload = std::move(payload);
   if (kind == wire::FrameKind::Chunk) {
     stats_.chunks_sent.add();
   } else {
     stats_.frames_sent.add();
   }
+  // Header and chunk sub-header are packed on the stack; the body stays
+  // where the encoder put it.
+  uint8_t head[wire::kMaxFrameHeaderSize + wire::kChunkHeaderSize];
+  size_t n = wire::pack_header(h, sub.size() + body.size(), head);
+  if (!sub.empty()) std::memcpy(head + n, sub.data(), sub.size());
+  n += sub.size();
 
+  if (!ps.sequenced) {
+    stats_.bytes_sent.add(n + body.size());
+    ps.link->send({head, n}, body);
+    return;
+  }
   PeerState::Pending p;
-  p.seq = f.seq;
+  p.seq = h.seq;
   p.bytes = pool_.acquire();
-  wire::pack_frame_into(f, p.bytes);
-  // The payload's bytes now live in the frame buffer; recycle the payload
-  // buffer (regardless of where the caller got it — the pool adopts any
-  // vector).
-  pool_.release(std::move(f.payload));
+  p.bytes.reserve(n + body.size());
+  p.bytes.insert(p.bytes.end(), head, head + n);
+  p.bytes.insert(p.bytes.end(), body.begin(), body.end());
   if (ps.unacked.size() >= relopts_.send_window) {
     ps.backlog.push_back(std::move(p));
     note_queue_depth(ps);
@@ -137,26 +151,28 @@ void Node::send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
 
 void Node::send_frame(uint64_t dest_port, std::vector<uint8_t> payload) {
   if (payload.size() <= relopts_.max_frame_payload) {
-    send_frame_kind(dest_port, wire::FrameKind::Data, std::move(payload));
+    emit_frame(dest_port, wire::FrameKind::Data, {}, payload);
+    pool_.release(std::move(payload));
     return;
   }
-  // Oversized payload: slice into CHUNK frames so no single frame buffer
-  // exceeds max_frame_payload. Each chunk frame's payload is sub-header +
-  // piece, so pieces leave room for the sub-header.
+  // Oversized payload: slice into CHUNK frames so no single frame exceeds
+  // max_frame_payload. Each chunk frame's payload is sub-header + piece,
+  // so pieces leave room for the sub-header.
   const size_t piece_max = relopts_.max_frame_payload > wire::kChunkHeaderSize
                                ? relopts_.max_frame_payload - wire::kChunkHeaderSize
                                : 1;
   stats_.messages_chunked.add();
   wire::ChunkInfo info;
   info.msg_id = next_msg_id_++;
+  uint8_t sub[wire::kChunkHeaderSize];
   size_t off = 0;
   while (off < payload.size()) {
     size_t n = std::min(piece_max, payload.size() - off);
     bool last = off + n == payload.size();
     info.flags = last ? wire::kChunkFlagLast : 0;
-    std::vector<uint8_t> chunk = pool_.acquire();
-    wire::pack_chunk_into(info, payload.data() + off, n, chunk);
-    send_frame_kind(dest_port, wire::FrameKind::Chunk, std::move(chunk));
+    wire::pack_chunk_header(info, sub);
+    emit_frame(dest_port, wire::FrameKind::Chunk, sub,
+               {payload.data() + off, n});
     info.index++;
     off += n;
   }
@@ -193,11 +209,11 @@ void Node::send_chunked(
     bool started = false;
     wire::ChunkInfo info;
   } st;
-  auto flush_held_as_chunk = [&](bool last) {
-    st.info.flags = last ? wire::kChunkFlagLast : 0;
-    std::vector<uint8_t> chunk = pool_.acquire();
-    wire::pack_chunk_into(st.info, st.held.data(), st.held.size(), chunk);
-    send_frame_kind(dest_port, wire::FrameKind::Chunk, std::move(chunk));
+  auto emit_chunk = [&](std::span<const uint8_t> piece, uint8_t flags) {
+    st.info.flags = flags;
+    uint8_t sub[wire::kChunkHeaderSize];
+    wire::pack_chunk_header(st.info, sub);
+    emit_frame(dest_port, wire::FrameKind::Chunk, sub, piece);
     st.info.index++;
   };
   try {
@@ -205,8 +221,7 @@ void Node::send_chunked(
       if (!st.have_held) {
         if (last) {
           // Single piece: plain DATA, indistinguishable from send_marshaled.
-          send_frame_kind(dest_port, wire::FrameKind::Data, std::move(piece));
-          st.started = false;
+          emit_frame(dest_port, wire::FrameKind::Data, {}, piece);
           st.have_held = true;  // consume: no further pieces expected
           return;
         }
@@ -217,24 +232,20 @@ void Node::send_chunked(
       if (!st.started) {
         if (last && piece.empty()) {
           // Exactly-one-chunk boundary: the held piece IS the message.
-          send_frame_kind(dest_port, wire::FrameKind::Data, std::move(st.held));
+          emit_frame(dest_port, wire::FrameKind::Data, {}, st.held);
           return;
         }
         st.started = true;
         st.info.msg_id = next_msg_id_++;
         stats_.messages_chunked.add();
-        flush_held_as_chunk(/*last=*/false);
+        emit_chunk(st.held, 0);
       }
-      st.held = std::move(piece);
-      flush_held_as_chunk(last);
+      emit_chunk(piece, last ? wire::kChunkFlagLast : 0);
     });
   } catch (...) {
     if (st.started) {
       // Chunks already escaped; tell the receiver to discard the stream.
-      st.info.flags = wire::kChunkFlagAbort;
-      std::vector<uint8_t> chunk = pool_.acquire();
-      wire::pack_chunk_into(st.info, nullptr, 0, chunk);
-      send_frame_kind(dest_port, wire::FrameKind::Chunk, std::move(chunk));
+      emit_chunk({}, wire::kChunkFlagAbort);
     }
     throw;
   }
@@ -327,7 +338,7 @@ void Node::retransmit_due(PeerState& ps) {
     ps.resend_heap.emplace(it->next_resend_tick, it->seq);
     stats_.retransmits.add();
     stats_.bytes_sent.add(it->bytes.size());
-    ps.link->send(it->bytes);
+    ps.link->send(it->bytes, {});
   }
 }
 
@@ -358,90 +369,116 @@ size_t Node::deliver_local() {
   return processed;
 }
 
-size_t Node::accept_chunk(uint16_t peer_id, PeerState& ps,
-                          const wire::Frame& frame) {
-  (void)peer_id;
+void Node::drop_stream(PeerState& ps,
+                       std::map<uint32_t, PeerState::Reassembly>::iterator it) {
+  ps.reassembly_bytes -= it->second.bytes;
+  rx_pool_.release(std::move(it->second.data));
+  ps.reassembly.erase(it);
+}
+
+size_t Node::accept_chunk(PeerState& ps, const wire::FrameView& frame) {
   wire::ChunkView cv;
   try {
-    cv = wire::parse_chunk(frame.payload);
+    cv = wire::parse_chunk(frame.payload, frame.len);
   } catch (const WireError&) {
     note_decode_fault("rpc.chunk_fault");
     return 0;
   }
   stats_.chunks_received.add();
+  auto it = ps.reassembly.find(cv.info.msg_id);
   if ((cv.info.flags & wire::kChunkFlagAbort) != 0) {
-    if (ps.reassembly.erase(cv.info.msg_id) != 0) {
+    if (it != ps.reassembly.end()) {
+      drop_stream(ps, it);
       stats_.chunk_aborts.add();
       obs::FlightRecorder::global().fault("rpc.chunk_abort");
     }
     return 0;
   }
-  PeerState::Reassembly& r = ps.reassembly[cv.info.msg_id];
+  if (it == ps.reassembly.end()) {
+    it = ps.reassembly.emplace(cv.info.msg_id, PeerState::Reassembly{}).first;
+    it->second.data = rx_pool_.acquire();
+  }
+  PeerState::Reassembly& r = it->second;
   r.dest_port = frame.dest_port;
   if (r.trace_id == 0 && frame.trace_id != 0) {
     r.trace_id = frame.trace_id;
     r.parent_span_id = frame.parent_span_id;
     r.sampled = frame.sampled;
   }
-  if (r.bytes + cv.len > relopts_.reassembly_limit) {
-    // Stream exceeded the buffering cap; discard everything collected.
-    ps.reassembly.erase(cv.info.msg_id);
+  const uint32_t idx = cv.info.index;
+  if (idx < r.next || r.ahead.count(idx) != 0 ||
+      (r.total != 0 && idx >= r.total)) {
+    return 0;  // a repeated or stale piece: the stream already has it
+  }
+  if (ps.reassembly_bytes + cv.len > relopts_.reassembly_limit) {
+    // The peer's open streams would exceed the buffering cap; discard this
+    // one and everything it collected.
+    drop_stream(ps, it);
     stats_.chunk_aborts.add();
     obs::FlightRecorder::global().fault("rpc.reassembly_limit");
     return 0;
   }
+  ps.reassembly_bytes += cv.len;
   r.bytes += cv.len;
-  r.pieces.emplace(cv.info.index,
-                   std::vector<uint8_t>(cv.data, cv.data + cv.len));
-  if ((cv.info.flags & wire::kChunkFlagLast) != 0) r.total = cv.info.index + 1;
-  if (r.total == 0 || r.pieces.size() < r.total) return 0;
-
-  // Stream complete: concatenate in index order and deliver like one frame.
-  std::vector<uint8_t> whole = pool_.acquire();
-  whole.reserve(r.bytes);
-  for (auto& [idx, piece] : r.pieces) {
-    (void)idx;
-    whole.insert(whole.end(), piece.begin(), piece.end());
+  if ((cv.info.flags & wire::kChunkFlagLast) != 0) r.total = idx + 1;
+  if (idx != r.next) {
+    r.ahead.emplace(idx, std::vector<uint8_t>(cv.data, cv.data + cv.len));
+    return 0;
   }
-  uint64_t dest_port = r.dest_port;
+  r.data.insert(r.data.end(), cv.data, cv.data + cv.len);
+  r.next++;
+  for (auto a = r.ahead.begin(); a != r.ahead.end() && a->first == r.next;
+       a = r.ahead.erase(a)) {
+    r.data.insert(r.data.end(), a->second.begin(), a->second.end());
+    r.next++;
+  }
+  if (r.total == 0 || r.next < r.total) return 0;
+
+  // Stream complete: deliver the concatenation like one frame.
+  std::vector<uint8_t> whole = std::move(r.data);
+  const uint64_t dest_port = r.dest_port;
   // Deliver on behalf of the stream's trace (stored from its first
   // chunk), not whatever context the final chunk's drain round holds.
   obs::ContextGuard adopt(
       obs::TraceContext{r.trace_id, r.parent_span_id, r.sampled});
-  ps.reassembly.erase(cv.info.msg_id);
+  ps.reassembly_bytes -= r.bytes;
+  ps.reassembly.erase(it);
   stats_.messages_reassembled.add();
-  auto it = ports_.find(dest_port);
-  if (it == ports_.end()) {
+  auto port = ports_.find(dest_port);
+  if (port == ports_.end()) {
     stats_.unknown_port_drops.add();
-    pool_.release(std::move(whole));
+    rx_pool_.release(std::move(whole));
     return 0;
   }
   Value v;
   try {
-    v = wire::decode(*it->second.graph, it->second.msg_type, whole);
+    v = wire::decode(*port->second.graph, port->second.msg_type, whole);
   } catch (const WireError&) {
-    pool_.release(std::move(whole));
+    rx_pool_.release(std::move(whole));
     note_decode_fault("rpc.marshal_fault");
     return 0;
   }
-  pool_.release(std::move(whole));
+  rx_pool_.release(std::move(whole));
   stats_.frames_received.add();
   dispatch(dest_port, v);
   return 1;
 }
 
-size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
+size_t Node::drain_peer(PeerState& ps) {
   size_t processed = 0;
   while (auto bytes = ps.link->poll()) {
-    wire::Frame f;
+    wire::FrameView f;
     try {
-      f = wire::unpack_frame(*bytes);
+      f = wire::view_frame(bytes->data(), bytes->size());
     } catch (const WireError&) {
       // A malformed frame must not take the node down: drop it, count it,
       // and leave the recent past in the flight recorder.
       note_decode_fault("rpc.frame_fault");
       continue;
     }
+    // A peer that numbers its frames runs the sublayer toward us: answer
+    // in kind from now on (acks, and retransmission of what we send).
+    if (f.seq != 0) ps.sequenced = true;
     // Every frame carries the peer's cumulative ack; retire covered
     // retransmit entries whether it is DATA or an explicit ACK.
     apply_cum_ack(ps, f.cum_ack);
@@ -449,19 +486,21 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
       stats_.acks_received.add();
       continue;
     }
-    if (!accept_seq(ps, f.seq)) {
-      stats_.duplicates_dropped.add();
-      ps.ack_due = true;  // re-ack: the ack for this frame was likely lost
-      continue;
+    if (f.seq != 0) {
+      if (!accept_seq(ps, f.seq)) {
+        stats_.duplicates_dropped.add();
+        ps.ack_due = true;  // re-ack: the ack for this frame was likely lost
+        continue;
+      }
+      ps.ack_due = true;
     }
-    ps.ack_due = true;
     // Work on behalf of the frame's originating trace while handling it:
     // spans opened by the port handler (serve.request, compare, marshal)
     // become children of the sender's rpc.call span.
     obs::ContextGuard adopt(
         obs::TraceContext{f.trace_id, f.parent_span_id, f.sampled});
     if (f.kind == wire::FrameKind::Chunk) {
-      processed += accept_chunk(peer_id, ps, f);
+      processed += accept_chunk(ps, f);
       continue;
     }
     auto it = ports_.find(f.dest_port);
@@ -471,7 +510,7 @@ size_t Node::drain_peer(uint16_t peer_id, PeerState& ps) {
     }
     Value v;
     try {
-      v = wire::decode(*it->second.graph, it->second.msg_type, f.payload);
+      v = wire::decode(*it->second.graph, it->second.msg_type, f.payload, f.len);
     } catch (const WireError&) {
       note_decode_fault("rpc.marshal_fault");
       continue;
@@ -499,14 +538,15 @@ void Node::note_decode_fault(const char* reason) {
 
 void Node::flush_ack(PeerState& ps) {
   if (!ps.ack_due) return;
-  wire::Frame ack;
+  wire::FrameHeader ack;
   ack.kind = wire::FrameKind::Ack;
   ack.origin_node = id_;
   ack.cum_ack = ps.cum_recv;
-  auto ack_bytes = wire::pack_frame(ack);
+  uint8_t head[wire::kMaxFrameHeaderSize];
+  const size_t n = wire::pack_header(ack, 0, head);
   stats_.acks_sent.add();
-  stats_.bytes_sent.add(ack_bytes.size());
-  ps.link->send(std::move(ack_bytes));
+  stats_.bytes_sent.add(n);
+  ps.link->send({head, n}, {});
   ps.ack_due = false;
 }
 
@@ -514,7 +554,8 @@ size_t Node::poll() {
   tick_++;
   size_t processed = deliver_local();
   for (auto& [peer, ps] : peers_) {
-    processed += drain_peer(peer, ps);
+    (void)peer;
+    processed += drain_peer(ps);
     retransmit_due(ps);
     flush_ack(ps);
   }
@@ -524,7 +565,7 @@ size_t Node::poll() {
 size_t Node::poll_peer(uint16_t peer) {
   auto it = peers_.find(peer);
   if (it == peers_.end()) return 0;
-  size_t processed = drain_peer(peer, it->second);
+  size_t processed = drain_peer(it->second);
   flush_ack(it->second);
   return processed;
 }
@@ -546,6 +587,7 @@ void Node::disconnect(uint16_t peer) {
   PeerState& ps = it->second;
   for (auto& p : ps.unacked) pool_.release(std::move(p.bytes));
   for (auto& p : ps.backlog) pool_.release(std::move(p.bytes));
+  for (auto& [msg_id, r] : ps.reassembly) rx_pool_.release(std::move(r.data));
   peers_.erase(it);
 }
 
@@ -558,9 +600,29 @@ size_t Node::send_queue_depth(uint16_t peer) const {
 bool Node::has_pending() const {
   for (const auto& [peer, ps] : peers_) {
     (void)peer;
-    if (!ps.unacked.empty() || !ps.backlog.empty()) return true;
+    if (!ps.unacked.empty() || !ps.backlog.empty() ||
+        ps.link->held_bytes() != 0) {
+      return true;
+    }
   }
   return false;
+}
+
+bool Node::needs_tick() const {
+  for (const auto& [peer, ps] : peers_) {
+    (void)peer;
+    if (!ps.unacked.empty() || !ps.backlog.empty() || ps.ack_due) return true;
+  }
+  return false;
+}
+
+size_t Node::reassembly_bytes() const {
+  size_t total = 0;
+  for (const auto& [peer, ps] : peers_) {
+    (void)peer;
+    total += ps.reassembly_bytes;
+  }
+  return total;
 }
 
 size_t Node::dedup_entries() const {

@@ -15,13 +15,27 @@
 // Everything is single-threaded and pump-driven for determinism; pump()
 // cycles a set of nodes until quiescence.
 //
-// Remote sends ride a reliability sublayer (per-peer channels): every DATA
-// frame is held in a retransmit queue until the peer's cumulative ack covers
-// its sequence, retransmissions back off exponentially on the node's logical
-// clock (one tick per poll), and a frame whose bounded retries run out tears
-// down the channel's queue so pump() can still reach quiescence. Receivers
-// dedup with per-peer highest-contiguous-sequence plus a bounded
-// out-of-order window, so dedup state is O(window) regardless of traffic.
+// Each peer is one channel, and whether it runs a reliability sublayer
+// depends on its link:
+//   * Over a link that delivers every frame once and in order (a stream
+//     socket; transport::Link::reliable()) the channel is unsequenced: its
+//     frames carry seq 0 and are never acked, deduped or queued for
+//     retransmission. A frame goes from the encoder's buffer to the link as
+//     a stack-packed header plus the payload bytes, and the payload buffer
+//     returns to the pool as soon as the link has written it.
+//   * Over any other link (in-process queues, make_lossy) the channel is
+//     sequenced: every DATA/CHUNK frame is held in a retransmit queue until
+//     the peer's cumulative ack covers its sequence, retransmissions back
+//     off exponentially on the node's logical clock (one tick per poll),
+//     and a frame whose bounded retries run out tears down the channel's
+//     queue so pump() can still reach quiescence. Receivers dedup with
+//     per-peer highest-contiguous-sequence plus a bounded out-of-order
+//     window, so dedup state is O(window) regardless of traffic.
+// The latch: an unsequenced channel becomes sequenced for good on the first
+// frame its peer sends with seq != 0, so a peer that runs the sublayer (a
+// client over make_lossy, a hand-built frame) gets acks and retransmissions
+// back from a node whose own link is a plain socket. Unsequenced frames
+// arriving on a sequenced channel are delivered as they come.
 #pragma once
 
 #include <deque>
@@ -30,6 +44,7 @@
 #include <memory>
 #include <queue>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -101,11 +116,12 @@ struct ReliabilityOptions {
   size_t send_window = 64;       // max unacked frames per peer; excess is queued
   size_t dedup_window = 128;     // max out-of-order seqs remembered per peer
   // Payloads above this many bytes are split into CHUNK frames (each chunk
-  // rides the normal seq/ack reliability). Bounds the per-frame wire buffer
+  // is sequenced exactly when DATA is). Bounds the per-frame wire buffer
   // regardless of message size.
   size_t max_frame_payload = 64 * 1024;
-  // Cap on buffered bytes per in-progress inbound chunk stream; a stream
-  // exceeding it is discarded (counted as a chunk_abort).
+  // Cap on the bytes buffered across all of one peer's in-progress inbound
+  // chunk streams; the stream whose piece would exceed it is discarded
+  // (counted as a chunk_abort).
   size_t reassembly_limit = 64 * 1024 * 1024;
 };
 
@@ -195,9 +211,23 @@ class Node {
   /// expired). Safe for unknown peers.
   void disconnect(uint16_t peer);
 
-  /// True while any peer channel holds unacked or window-queued frames:
-  /// the node is not quiescent even if a poll delivers nothing.
+  /// True while any peer channel holds unacked or window-queued frames, or
+  /// its link still holds bytes it has not written: the node is not
+  /// quiescent even if a poll delivers nothing.
   [[nodiscard]] bool has_pending() const;
+
+  /// True while a sequenced channel holds unacked or backlogged frames or
+  /// owes its peer an ack: only then does tick() have timed work to do.
+  [[nodiscard]] bool needs_tick() const;
+
+  /// True while local deliveries wait for the next poll()/tick().
+  [[nodiscard]] bool has_local_deliveries() const {
+    return !local_queue_.empty();
+  }
+
+  /// Bytes buffered in incomplete inbound chunk streams, over all peers
+  /// (each peer's share is capped by reassembly_limit).
+  [[nodiscard]] size_t reassembly_bytes() const;
 
   /// Outbound frames held for `peer` (unacked + window backlog): the
   /// per-peer send-queue depth the reactor's backpressure watches.
@@ -214,8 +244,10 @@ class Node {
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
 
   /// The node's reusable buffer pool. Payload and frame buffers cycle
-  /// through it: send paths acquire, the delivery layer releases once a
-  /// frame is acked (or expired), so steady-state sends stop allocating.
+  /// through it: send paths acquire, and a payload buffer is released as
+  /// soon as its frames are written (an unsequenced channel) or framed into
+  /// retransmit entries, which are released once acked or expired (a
+  /// sequenced one), so steady-state sends stop allocating.
   /// Callers producing payloads for send_marshaled may acquire from here
   /// too — send_frame returns every payload buffer to the pool after
   /// framing it.
@@ -232,9 +264,13 @@ class Node {
     bool once;
   };
 
-  /// One reliability channel toward a peer (both directions of bookkeeping).
+  /// One channel toward a peer (both directions of bookkeeping).
   struct PeerState {
     std::shared_ptr<transport::Link> link;
+    // Whether the reliability sublayer runs: from the start over an
+    // unreliable link, and for good once the peer sends a frame with
+    // seq != 0. Everything below down to `ack_due` is used only then.
+    bool sequenced = false;
     // Outbound: sequence assignment, the unacked retransmit queue (ordered
     // by seq), and frames waiting for send-window space.
     uint64_t next_seq = 1;
@@ -261,13 +297,16 @@ class Node {
     uint64_t cum_recv = 0;
     std::set<uint64_t> ooo;
     bool ack_due = false;
-    // In-progress inbound chunk streams, keyed by sender msg_id. Pieces are
-    // stored by index (chunks may arrive out of order within the dedup
-    // window); `total` is learned from the Last-flagged chunk.
+    // In-progress inbound chunk streams, keyed by sender msg_id. In-order
+    // pieces are appended to one rx_pool_ buffer; a piece that arrives ahead
+    // of a gap (a sequenced channel's reordering) waits in `ahead` until
+    // the gap fills. `total` is learned from the Last-flagged chunk.
     struct Reassembly {
       uint64_t dest_port = 0;
-      std::map<uint32_t, std::vector<uint8_t>> pieces;
-      size_t bytes = 0;
+      std::vector<uint8_t> data;  // pieces [0, next) concatenated
+      uint32_t next = 0;
+      std::map<uint32_t, std::vector<uint8_t>> ahead;
+      size_t bytes = 0;    // data plus ahead
       uint32_t total = 0;  // piece count once known, else 0
       // Trace context of the stream (every chunk carries the sender's;
       // the first to arrive wins), re-adopted when delivery completes.
@@ -276,17 +315,20 @@ class Node {
       bool sampled = false;
     };
     std::map<uint32_t, Reassembly> reassembly;
+    size_t reassembly_bytes = 0;  // sum of reassembly[*].bytes
   };
 
   void dispatch(uint64_t port_id, const Value& v);
-  /// Frame `payload` as DATA toward a remote port and hand it to the
-  /// reliability machinery (shared tail of send / send_marshaled).
-  /// Oversized payloads are split into CHUNK frames.
+  /// Frame `payload` as DATA toward a remote port (shared tail of send /
+  /// send_marshaled), splitting oversized payloads into CHUNK frames, and
+  /// return the buffer to the pool.
   void send_frame(uint64_t dest_port, std::vector<uint8_t> payload);
-  /// Frame one payload as `kind` toward a remote port (the common tail of
-  /// DATA and CHUNK sends).
-  void send_frame_kind(uint64_t dest_port, wire::FrameKind kind,
-                       std::vector<uint8_t> payload);
+  /// Send one `kind` frame whose payload is `sub` (a chunk sub-header, or
+  /// empty) followed by `body` toward a remote port: written straight to
+  /// the link on an unsequenced channel, copied into a retransmit entry on
+  /// a sequenced one. Both runs are consumed before it returns.
+  void emit_frame(uint64_t dest_port, wire::FrameKind kind,
+                  std::span<const uint8_t> sub, std::span<const uint8_t> body);
   void transmit(PeerState& ps, PeerState::Pending& p);
   void apply_cum_ack(PeerState& ps, uint64_t cum_ack);
   /// Dedup + window bookkeeping for an arriving DATA/CHUNK seq. Returns
@@ -295,7 +337,7 @@ class Node {
   void retransmit_due(PeerState& ps);
   /// Drain and deliver everything `ps`'s link has to offer (shared by
   /// poll() and poll_peer()). Returns messages delivered.
-  size_t drain_peer(uint16_t peer_id, PeerState& ps);
+  size_t drain_peer(PeerState& ps);
   /// Count a malformed frame/payload and poke the flight recorder.
   void note_decode_fault(const char* reason);
   /// Deliver the local-queue batch staged before this round.
@@ -304,13 +346,19 @@ class Node {
   void flush_ack(PeerState& ps);
   /// Route an accepted CHUNK frame into `ps.reassembly`; dispatches the
   /// message when its stream completes. Returns deliveries (0 or 1).
-  size_t accept_chunk(uint16_t peer_id, PeerState& ps,
-                      const wire::Frame& frame);
+  size_t accept_chunk(PeerState& ps, const wire::FrameView& frame);
+  /// Discard an incomplete inbound stream and its buffered bytes.
+  void drop_stream(PeerState& ps,
+                   std::map<uint32_t, PeerState::Reassembly>::iterator it);
   void note_queue_depth(const PeerState& ps);
 
   uint16_t id_;
   ReliabilityOptions relopts_;
   wire::BufferPool pool_;
+  // Inbound chunk-reassembly buffers. Kept apart from pool_ so a peer's
+  // open streams never count toward the send-side occupancy the reactor's
+  // stall watches; a completed stream still hands its capacity on.
+  wire::BufferPool rx_pool_{8};
   uint64_t next_port_ = 1;
   uint32_t next_msg_id_ = 1;  // chunk-stream ids (per node, all peers)
   uint64_t tick_ = 0;  // logical clock: one tick per poll()
@@ -332,7 +380,8 @@ struct PumpResult {
 };
 
 /// Poll all nodes round-robin until quiescent: a full round processes
-/// nothing AND no node holds unacked frames awaiting retransmission.
+/// nothing AND no node has_pending() (unacked frames awaiting
+/// retransmission, or bytes a link has yet to write).
 /// Stops after max_rounds regardless and reports that in the result.
 PumpResult pump(const std::vector<Node*>& nodes, size_t max_rounds = 100000);
 
@@ -386,7 +435,7 @@ struct CallOptions {
 /// send. The two-phase equivalent — CReader/read_image, convert, encode — is
 /// never run on the hot path, and steady-state sends perform no payload
 /// allocation (buffers cycle through the node's BufferPool as frames are
-/// acked).
+/// written or acked).
 ///
 /// All referenced objects (node, dst_graph, layout target) must outlive the
 /// stub.

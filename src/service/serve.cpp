@@ -104,7 +104,13 @@ std::function<Value(const Value&)> compile_handler(ServiceCore& core) {
 }
 
 std::atomic<bool> g_serve_stop{false};
-void serve_stop_signal(int) { g_serve_stop.store(true); }
+// The serving reactor, so a signal can end its wait (which has no timeout
+// while idle); null outside run_serve_listen.
+std::atomic<const rpc::Reactor*> g_serve_reactor{nullptr};
+void serve_stop_signal(int) {
+  g_serve_stop.store(true);
+  if (const rpc::Reactor* r = g_serve_reactor.load()) r->wake();
+}
 
 }  // namespace
 
@@ -165,8 +171,7 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
   mtype::Ref invocation = proto.invocation;
 
   // One process, two nodes, a real socketpair between them: every request
-  // round-trips through wire marshaling, framing, and the reliability
-  // sublayer.
+  // round-trips through wire marshaling and framing.
   rpc::Node client(2), server(kServeNodeId);
   auto [lc, ls] = transport::make_socket_pair();
   client.connect(kServeNodeId, std::move(lc));
@@ -295,10 +300,12 @@ int run_serve_listen(std::vector<stype::Module>& modules,
   }
 
   ServeProtocol proto;
-  // The reactor advances the node's logical clock about once per
-  // millisecond of wall time, so the socketpair-tuned backoff defaults
-  // (first retransmit after 2 ticks) would re-send replies before a remote
-  // client across real sockets can possibly ack. Stretch them.
+  // Stream clients never see a retransmit; these apply only to peers that
+  // run the reliability sublayer (sequenced frames, e.g. a make_lossy
+  // client). The reactor ticks about once per millisecond while such a
+  // channel has frames in flight, so the socketpair-tuned defaults (first
+  // retransmit after 2 ticks) would re-send replies before a client across
+  // real sockets can possibly ack. Stretch them.
   rpc::ReliabilityOptions relopts;
   relopts.initial_backoff = 8;
   relopts.max_backoff = 256;
@@ -381,18 +388,21 @@ int run_serve_listen(std::vector<stype::Module>& modules,
       << ", \"echo_port\": " << echo_port
       << ", \"telemetry_port\": " << telemetry_port << "}" << std::endl;
 
+  // No wait cap: an idle daemon sleeps until a request, a due timer, or
+  // a stop signal, whose handler wakes the reactor through its eventfd (so
+  // a signal landing between the stop check and the wait still ends it).
   g_serve_stop.store(false);
+  g_serve_reactor.store(&reactor);
   std::signal(SIGINT, serve_stop_signal);
   std::signal(SIGTERM, serve_stop_signal);
-  reactor.run(
-      [&] {
-        return g_serve_stop.load(std::memory_order_relaxed) ||
-               (options.max_requests != 0 &&
-                served.value() >= options.max_requests);
-      },
-      /*timeout_ms=*/1);
+  reactor.run([&] {
+    return g_serve_stop.load(std::memory_order_relaxed) ||
+           (options.max_requests != 0 &&
+            served.value() >= options.max_requests);
+  });
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
+  g_serve_reactor.store(nullptr);
 
   int rc = 0;
   std::string ferr;
@@ -419,13 +429,8 @@ std::string fetch_telemetry(const ServeProtocol& proto, const std::string& addr,
   // A telemetry client is ephemeral: pick a node id outside the range
   // ordinary clients use so a dashboard poll never supersedes a worker's
   // connection (the reactor keys channels by origin node id).
-  rpc::ReliabilityOptions relopts;
-  relopts.initial_backoff = 256;  // this loop polls every ~200µs
-  relopts.max_backoff = 4096;
-  rpc::Node client(
-      static_cast<uint16_t>(0x8000u | (static_cast<unsigned>(::getpid()) &
-                                       0x7fffu)),
-      relopts);
+  rpc::Node client(static_cast<uint16_t>(
+      0x8000u | (static_cast<unsigned>(::getpid()) & 0x7fffu)));
   client.connect(kServeNodeId,
                  transport::polled_socket_link(transport::dial_fd(addr)));
 

@@ -7,8 +7,8 @@
 // (serve_function over the lowered invocation type Record(CompileRequest,
 // port(CompileReply))); the driver loop reads request lines, builds a
 // CompileRequest Value, and rpc-calls the server — every request round-
-// trips through wire marshaling, framing, and the reliability sublayer,
-// exactly like a cross-process client would.
+// trips through wire marshaling and stream framing, exactly like a
+// cross-process client would.
 //
 // Request stream: one `<left> <right>` declaration-spec pair per line
 // (same grammar as a batch manifest; `#` comments and blanks ignored).

@@ -26,14 +26,19 @@ class InProcLink : public Link {
  public:
   InProcLink(std::shared_ptr<SharedQueues> q, bool is_a) : q_(std::move(q)), is_a_(is_a) {}
 
-  void send(std::vector<uint8_t> frame) override {
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
     auto& queue = is_a_ ? q_->a_to_b : q_->b_to_a;
     const auto& f = q_->faults;
     if (f.drop_probability > 0 && q_->rng.chance(f.drop_probability)) return;
-    queue.push_back(frame);
+    std::vector<uint8_t> frame;
+    frame.reserve(head.size() + body.size());
+    frame.insert(frame.end(), head.begin(), head.end());
+    frame.insert(frame.end(), body.begin(), body.end());
     if (f.duplicate_probability > 0 && q_->rng.chance(f.duplicate_probability)) {
       queue.push_back(frame);
     }
+    queue.push_back(std::move(frame));
     if (f.reorder_probability > 0 && queue.size() >= 2 &&
         q_->rng.chance(f.reorder_probability)) {
       std::swap(queue[queue.size() - 1], queue[queue.size() - 2]);
@@ -47,6 +52,10 @@ class InProcLink : public Link {
     queue.pop_front();
     return frame;
   }
+
+  /// Faults are injectable, so the channel above must not trust delivery.
+  [[nodiscard]] bool reliable() const override { return false; }
+  [[nodiscard]] size_t held_bytes() const override { return 0; }
 
  private:
   std::shared_ptr<SharedQueues> q_;

@@ -9,11 +9,22 @@
 //
 // Links are polled (single-threaded, deterministic): send() enqueues toward
 // the peer; the peer's poll() dequeues.
+//
+// send() takes one frame as two byte runs, a header and a body, so the rpc
+// layer can hand over a header packed on its stack and a payload still in
+// the encoder's buffer without first joining them; the link copies or
+// writes both before returning. A link also answers two questions the rpc
+// layer asks of it: whether it delivers every frame exactly once and in
+// order (stream sockets do, so channels over them skip the reliability
+// sublayer), and how many bytes it has accepted but not yet handed on (a
+// socket's tail waiting for kernel space, which keeps a node from taking a
+// quiet round for quiescence).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -23,10 +34,19 @@ namespace mbird::transport {
 class Link {
  public:
   virtual ~Link() = default;
-  /// Queue one message frame toward the peer.
-  virtual void send(std::vector<uint8_t> frame) = 0;
+  /// Queue one message frame toward the peer: the bytes of `head` followed
+  /// by the bytes of `body`. Both runs are consumed before send() returns.
+  virtual void send(std::span<const uint8_t> head,
+                    std::span<const uint8_t> body) = 0;
   /// Dequeue the next frame from the peer, if any.
   virtual std::optional<std::vector<uint8_t>> poll() = 0;
+  /// True when every frame sent arrives exactly once and in send order
+  /// (a stream socket); false when frames may be lost, duplicated or
+  /// reordered (fault injection).
+  [[nodiscard]] virtual bool reliable() const = 0;
+  /// Bytes accepted by send() that the link still holds, not yet handed to
+  /// the peer's side (0 for links that deliver on send()).
+  [[nodiscard]] virtual size_t held_bytes() const = 0;
 };
 
 struct FaultOptions {

@@ -8,8 +8,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -60,6 +62,19 @@ Addr parse_addr(const std::string& addr) {
 
 // ---- SocketPeer -------------------------------------------------------------
 
+namespace {
+
+/// Free space one recv() is offered. The read buffer grows only as bytes
+/// arrive, so a forged length prefix cannot make it allocate ahead of them.
+constexpr size_t kReadChunk = 64 * 1024;
+
+uint32_t load_be32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) | (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+}
+
+}  // namespace
+
 SocketPeer::SocketPeer(int fd) : fd_(fd) { set_nonblocking(fd_); }
 
 SocketPeer::~SocketPeer() {
@@ -71,32 +86,73 @@ void SocketPeer::mark_closed(const std::string& why) {
   closed_ = true;
   close_reason_ = why;
   out_.clear();  // undeliverable
+  out_off_ = 0;
 }
 
-void SocketPeer::send(std::vector<uint8_t> frame) {
-  if (closed_) return;  // dropped; the reliability layer treats it as loss
-  uint32_t len = static_cast<uint32_t>(frame.size());
-  uint8_t hdr[4] = {static_cast<uint8_t>(len >> 24), static_cast<uint8_t>(len >> 16),
-                    static_cast<uint8_t>(len >> 8), static_cast<uint8_t>(len)};
-  out_.insert(out_.end(), hdr, hdr + 4);
-  out_.insert(out_.end(), frame.begin(), frame.end());
-  flush();
+void SocketPeer::send(std::span<const uint8_t> head,
+                      std::span<const uint8_t> body) {
+  if (closed_) return;  // dropped; the rpc layer above sees it as loss
+  const size_t len = head.size() + body.size();
+  uint8_t prefix[4] = {static_cast<uint8_t>(len >> 24), static_cast<uint8_t>(len >> 16),
+                       static_cast<uint8_t>(len >> 8), static_cast<uint8_t>(len)};
+  if (held_bytes() != 0) {
+    // The kernel refused bytes last time: queue this frame behind them,
+    // first dropping the written front once it is the larger part.
+    if (out_off_ > out_.size() / 2) {
+      out_.erase(out_.begin(), out_.begin() + static_cast<long>(out_off_));
+      out_off_ = 0;
+    }
+    out_.insert(out_.end(), prefix, prefix + sizeof prefix);
+    out_.insert(out_.end(), head.begin(), head.end());
+    out_.insert(out_.end(), body.begin(), body.end());
+    flush();
+    return;
+  }
+  iovec iov[3];
+  int n = 0;
+  iov[n++] = {prefix, sizeof prefix};
+  if (!head.empty()) iov[n++] = {const_cast<uint8_t*>(head.data()), head.size()};
+  if (!body.empty()) iov[n++] = {const_cast<uint8_t*>(body.data()), body.size()};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = static_cast<size_t>(n);
+  size_t sent = 0;
+  for (;;) {
+    ssize_t w = ::sendmsg(fd_, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (w >= 0) {
+      sent = static_cast<size_t>(w);
+      break;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    mark_closed(std::string("send failed: ") + std::strerror(errno));
+    return;
+  }
+  // Keep what the kernel refused, in order.
+  auto keep = [&](const uint8_t* p, size_t size) {
+    const size_t skip = std::min(sent, size);
+    sent -= skip;
+    out_.insert(out_.end(), p + skip, p + size);
+  };
+  keep(prefix, sizeof prefix);
+  keep(head.data(), head.size());
+  keep(body.data(), body.size());
 }
 
 void SocketPeer::flush() {
-  size_t off = 0;
-  while (off < out_.size()) {
-    ssize_t n = ::send(fd_, out_.data() + off, out_.size() - off,
+  while (out_off_ < out_.size()) {
+    ssize_t n = ::send(fd_, out_.data() + out_off_, out_.size() - out_off_,
                        MSG_DONTWAIT | MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // short write: keep tail
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // keep the tail
       mark_closed(std::string("send failed: ") + std::strerror(errno));
       return;
     }
-    off += static_cast<size_t>(n);
+    out_off_ += static_cast<size_t>(n);
   }
-  out_.erase(out_.begin(), out_.begin() + static_cast<long>(off));
+  out_.clear();
+  out_off_ = 0;
 }
 
 bool SocketPeer::on_writable() {
@@ -104,13 +160,34 @@ bool SocketPeer::on_writable() {
   return !closed_;
 }
 
+void SocketPeer::reserve_read_space() {
+  if (in_begin_ == in_end_) in_begin_ = in_end_ = 0;
+  if (in_cap_ - in_end_ >= kReadChunk) return;
+  if (in_begin_ != 0) {
+    // Move the partial frame to the front; the bytes before it are framed.
+    std::memmove(in_.get(), in_.get() + in_begin_, in_end_ - in_begin_);
+    in_end_ -= in_begin_;
+    in_begin_ = 0;
+  }
+  if (in_cap_ - in_end_ < kReadChunk) {
+    const size_t cap = std::max(in_cap_ * 2, in_end_ + kReadChunk);
+    auto grown = std::make_unique_for_overwrite<uint8_t[]>(cap);
+    if (in_end_ != 0) std::memcpy(grown.get(), in_.get(), in_end_);
+    in_ = std::move(grown);
+    in_cap_ = cap;
+  }
+}
+
 bool SocketPeer::on_readable() {
   if (!eof_ && !closed_) {
     for (;;) {
-      uint8_t chunk[16384];
-      ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
+      reserve_read_space();
+      const size_t room = in_cap_ - in_end_;
+      ssize_t n = ::recv(fd_, in_.get() + in_end_, room, MSG_DONTWAIT);
       if (n > 0) {
-        in_.insert(in_.end(), chunk, chunk + n);
+        in_end_ += static_cast<size_t>(n);
+        // A short read emptied the kernel buffer; skip the EAGAIN probe.
+        if (static_cast<size_t>(n) < room) break;
         continue;
       }
       if (n == 0) {
@@ -123,22 +200,13 @@ bool SocketPeer::on_readable() {
       break;
     }
   }
-  // Extract complete frames. in_consumed_ defers the O(n) front-erase until
-  // a batch of frames has been cut out.
-  for (;;) {
-    size_t avail = in_.size() - in_consumed_;
-    if (avail < 4) break;
-    const uint8_t* p = in_.data() + in_consumed_;
-    uint32_t len = (static_cast<uint32_t>(p[0]) << 24) |
-                   (static_cast<uint32_t>(p[1]) << 16) |
-                   (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
-    if (avail < 4 + static_cast<size_t>(len)) break;
+  // Cut out every complete frame.
+  while (in_end_ - in_begin_ >= 4) {
+    const uint8_t* p = in_.get() + in_begin_;
+    const size_t len = load_be32(p);
+    if (in_end_ - in_begin_ < 4 + len) break;
     frames_.emplace_back(p + 4, p + 4 + len);
-    in_consumed_ += 4 + len;
-  }
-  if (in_consumed_ != 0) {
-    in_.erase(in_.begin(), in_.begin() + static_cast<long>(in_consumed_));
-    in_consumed_ = 0;
+    in_begin_ += 4 + len;
   }
   return !(frames_.empty() && (eof_ || closed_));
 }
@@ -161,11 +229,12 @@ class PolledSocketLink : public Link {
  public:
   explicit PolledSocketLink(int fd) : peer_(fd) {}
 
-  void send(std::vector<uint8_t> frame) override {
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
     if (peer_.closed()) {
       throw LinkClosedError("link closed: " + peer_.close_reason());
     }
-    peer_.send(std::move(frame));
+    peer_.send(head, body);
     if (peer_.closed()) {
       throw LinkClosedError("link closed: " + peer_.close_reason());
     }
@@ -173,10 +242,16 @@ class PolledSocketLink : public Link {
 
   std::optional<std::vector<uint8_t>> poll() override {
     // A full kernel buffer earlier may have left bytes unflushed; the poll
-    // loop is our next chance to move them.
+    // loop is our next chance to move them. Frames already cut out are
+    // handed over before the socket is read again.
     peer_.on_writable();
-    peer_.on_readable();
+    if (peer_.inbound_frames() == 0) peer_.on_readable();
     return peer_.poll();
+  }
+
+  [[nodiscard]] bool reliable() const override { return true; }
+  [[nodiscard]] size_t held_bytes() const override {
+    return peer_.held_bytes();
   }
 
  private:
@@ -188,14 +263,15 @@ class LossyLink : public Link {
   LossyLink(std::unique_ptr<Link> inner, const FaultOptions& faults)
       : inner_(std::move(inner)), faults_(faults), rng_(faults.seed) {}
 
-  void send(std::vector<uint8_t> frame) override {
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
     if (faults_.drop_probability > 0 && rng_.chance(faults_.drop_probability)) {
       return;
     }
     bool dup = faults_.duplicate_probability > 0 &&
                rng_.chance(faults_.duplicate_probability);
-    if (dup) inner_->send(frame);
-    inner_->send(std::move(frame));
+    if (dup) inner_->send(head, body);
+    inner_->send(head, body);
   }
 
   std::optional<std::vector<uint8_t>> poll() override {
@@ -209,6 +285,12 @@ class LossyLink : public Link {
       }
       return f;
     }
+  }
+
+  /// Injected loss: the channel above must run the reliability sublayer.
+  [[nodiscard]] bool reliable() const override { return false; }
+  [[nodiscard]] size_t held_bytes() const override {
+    return inner_->held_bytes();
   }
 
  private:

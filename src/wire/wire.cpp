@@ -351,63 +351,67 @@ Value decode(const Graph& g, Ref type, const std::vector<uint8_t>& bytes) {
   return decode(g, type, bytes.data(), bytes.size());
 }
 
-std::vector<uint8_t> pack_frame(const Frame& f) {
-  std::vector<uint8_t> out;
-  pack_frame_into(f, out);
-  return out;
+namespace {
+
+uint8_t* put_big(uint8_t* p, uint64_t v, unsigned bytes) {
+  for (unsigned i = 0; i < bytes; ++i) {
+    p[i] = static_cast<uint8_t>(v >> ((bytes - 1 - i) * 8));
+  }
+  return p + bytes;
 }
 
-void pack_frame_into(const Frame& f, std::vector<uint8_t>& out) {
-  // One exact allocation: the header is a fixed 37 bytes (+17 when the
-  // trace extension rides along), the payload length is known, and Sink
-  // only appends.
-  const bool traced = f.trace_id != 0;
-  out.reserve(out.size() + kFrameHeaderSize + (traced ? kTraceExtSize : 0) +
-              f.payload.size());
-  Sink sink(out);
-  sink.u8('M');
-  sink.u8('B');
-  sink.u8('I');
-  sink.u8('R');
-  sink.big(kVersion, 2);
-  sink.u8(static_cast<uint8_t>(f.kind) |
-          (traced ? kFrameFlagTrace : uint8_t{0}));
-  sink.big(f.origin_node, 2);
-  sink.big(f.seq, 8);
-  sink.big(f.cum_ack, 8);
-  sink.big(f.dest_port, 8);
-  sink.big(f.payload.size(), 4);
+}  // namespace
+
+size_t pack_header(const FrameHeader& h, size_t payload_len, uint8_t* out) {
+  const bool traced = h.trace_id != 0;
+  uint8_t* p = out;
+  *p++ = 'M';
+  *p++ = 'B';
+  *p++ = 'I';
+  *p++ = 'R';
+  p = put_big(p, kVersion, 2);
+  *p++ = static_cast<uint8_t>(static_cast<uint8_t>(h.kind) |
+                              (traced ? kFrameFlagTrace : uint8_t{0}));
+  p = put_big(p, h.origin_node, 2);
+  p = put_big(p, h.seq, 8);
+  p = put_big(p, h.cum_ack, 8);
+  p = put_big(p, h.dest_port, 8);
+  p = put_big(p, payload_len, 4);
   if (traced) {
-    sink.big(f.trace_id, 8);
-    sink.big(f.parent_span_id, 8);
-    sink.u8(f.sampled ? 1 : 0);
+    p = put_big(p, h.trace_id, 8);
+    p = put_big(p, h.parent_span_id, 8);
+    *p++ = h.sampled ? 1 : 0;
   }
-  out.insert(out.end(), f.payload.begin(), f.payload.end());
+  return static_cast<size_t>(p - out);
+}
+
+std::vector<uint8_t> pack_frame(const Frame& f) {
+  std::vector<uint8_t> out(kMaxFrameHeaderSize + f.payload.size());
+  const size_t n = pack_header(f, f.payload.size(), out.data());
+  std::copy(f.payload.begin(), f.payload.end(), out.begin() + static_cast<long>(n));
+  out.resize(n + f.payload.size());
+  return out;
 }
 
 // ---- chunked (streaming) messages -------------------------------------------
 
-void pack_chunk_into(const ChunkInfo& info, const uint8_t* data, size_t len,
-                     std::vector<uint8_t>& out) {
-  out.reserve(out.size() + kChunkHeaderSize + len);
-  Sink sink(out);
-  sink.big(info.msg_id, 4);
-  sink.big(info.index, 4);
-  sink.u8(info.flags);
-  if (len != 0) out.insert(out.end(), data, data + len);
+void pack_chunk_header(const ChunkInfo& info, uint8_t* out) {
+  out = put_big(out, info.msg_id, 4);
+  out = put_big(out, info.index, 4);
+  *out = info.flags;
 }
 
-ChunkView parse_chunk(const std::vector<uint8_t>& payload) {
-  if (payload.size() < kChunkHeaderSize) {
+ChunkView parse_chunk(const uint8_t* payload, size_t len) {
+  if (len < kChunkHeaderSize) {
     throw WireError("chunk payload shorter than its sub-header");
   }
-  Source src(payload);
+  Source src(payload, len);
   ChunkView view;
   view.info.msg_id = static_cast<uint32_t>(src.big(4));
   view.info.index = static_cast<uint32_t>(src.big(4));
   view.info.flags = src.u8();
-  view.data = payload.data() + kChunkHeaderSize;
-  view.len = payload.size() - kChunkHeaderSize;
+  view.data = payload + kChunkHeaderSize;
+  view.len = len - kChunkHeaderSize;
   return view;
 }
 
@@ -592,8 +596,8 @@ AnyValue decode_any(const std::vector<uint8_t>& bytes) {
   return any;
 }
 
-Frame unpack_frame(const std::vector<uint8_t>& bytes) {
-  Source src(bytes);
+FrameView view_frame(const uint8_t* data, size_t size) {
+  Source src(data, size);
   if (src.u8() != 'M' || src.u8() != 'B' || src.u8() != 'I' || src.u8() != 'R') {
     throw WireError("bad frame magic");
   }
@@ -607,7 +611,7 @@ Frame unpack_frame(const std::vector<uint8_t>& bytes) {
   if (kind > static_cast<uint8_t>(FrameKind::Chunk)) {
     throw WireError("unknown frame kind " + std::to_string(kind));
   }
-  Frame f;
+  FrameView f;
   f.kind = static_cast<FrameKind>(kind);
   f.origin_node = static_cast<uint16_t>(src.big(2));
   f.seq = static_cast<uint64_t>(src.big(8));
@@ -615,17 +619,26 @@ Frame unpack_frame(const std::vector<uint8_t>& bytes) {
   f.dest_port = static_cast<uint64_t>(src.big(8));
   uint32_t len = static_cast<uint32_t>(src.big(4));
   if (traced) {
-    if (bytes.size() - src.pos() < kTraceExtSize) {
+    if (size - src.pos() < kTraceExtSize) {
       throw WireError("frame trace extension truncated");
     }
     f.trace_id = static_cast<uint64_t>(src.big(8));
     f.parent_span_id = static_cast<uint64_t>(src.big(8));
     f.sampled = src.u8() != 0;
   }
-  if (len != bytes.size() - src.pos()) {
+  if (len != size - src.pos()) {
     throw WireError("frame length mismatch");
   }
-  f.payload.assign(bytes.begin() + static_cast<long>(src.pos()), bytes.end());
+  f.payload = data + src.pos();
+  f.len = len;
+  return f;
+}
+
+Frame unpack_frame(const std::vector<uint8_t>& bytes) {
+  const FrameView v = view_frame(bytes.data(), bytes.size());
+  Frame f;
+  static_cast<FrameHeader&>(f) = v;
+  f.payload.assign(v.payload, v.payload + v.len);
   return f;
 }
 

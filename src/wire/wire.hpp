@@ -22,6 +22,17 @@
 // carries the highest contiguous sequence its sender has received on that
 // channel, and ACK frames carry nothing else (seq 0, no payload).
 //
+// seq 0 on a DATA or CHUNK frame marks it unsequenced: its sender runs no
+// reliability sublayer toward this peer (a stream link already delivers
+// every frame once and in order), so the receiver delivers it without
+// dedup and never acks it; its cum_ack is 0. Sequenced senders number from
+// 1, so both kinds share the v2 format.
+//
+// The send path packs only the header (pack_header, into a stack buffer)
+// and hands the payload to the link as a second byte run; the receive path
+// parses the header in place (view_frame) and decodes straight from the
+// payload bytes it points at.
+//
 // A frame may carry an optional trace-context extension (DESIGN.md §4l):
 // the high bit of the kind byte marks its presence, and 17 extension
 // bytes (trace id u64 | parent span id u64 | flags u8, bit 0 = sampled)
@@ -36,9 +47,10 @@
 // payload starts with a 9-byte sub-header (message id, piece index, flags)
 // followed by that piece's bytes; the receiver reassembles pieces of a
 // message id in index order and delivers the concatenation exactly as if a
-// single DATA frame had arrived. Chunks ride the same seq/cum_ack
-// reliability as DATA, so loss and reordering are already handled below
-// reassembly. A message that fits one piece is sent as plain DATA.
+// single DATA frame had arrived. Chunks are sequenced exactly when DATA
+// is: on a sequenced channel loss and reordering are handled below
+// reassembly, and on a stream link pieces arrive in order anyway. A message
+// that fits one piece is sent as plain DATA.
 #pragma once
 
 #include <cstdint>
@@ -83,9 +95,12 @@ enum class FrameKind : uint8_t {
   Chunk = 2,  // one bounded piece of a segmented DATA message
 };
 
-struct Frame {
+/// Every frame field but the payload.
+struct FrameHeader {
   FrameKind kind = FrameKind::Data;
   uint16_t origin_node = 0;
+  /// The sender's sequence number on a sequenced channel (from 1); 0 marks
+  /// an unsequenced frame.
   uint64_t seq = 0;
   /// Highest contiguous sequence the sender has received on this channel
   /// (0 when nothing has been received yet). Piggybacked on every frame.
@@ -96,7 +111,17 @@ struct Frame {
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
   bool sampled = false;
+};
+
+struct Frame : FrameHeader {
   std::vector<uint8_t> payload;
+};
+
+/// A frame parsed in place: the header fields and a view of the payload
+/// bytes, which stay in the buffer the frame was parsed from.
+struct FrameView : FrameHeader {
+  const uint8_t* payload = nullptr;
+  size_t len = 0;
 };
 
 /// Fixed frame header size: magic + version + kind + origin + seq + cum_ack
@@ -108,10 +133,22 @@ inline constexpr uint8_t kFrameFlagTrace = 0x80;
 /// Trace-context extension size: trace id + parent span id + flags.
 inline constexpr size_t kTraceExtSize = 8 + 8 + 1;
 
+/// Largest packed header: the fixed header plus the trace extension.
+inline constexpr size_t kMaxFrameHeaderSize = kFrameHeaderSize + kTraceExtSize;
+
+/// Write the header of a frame carrying `payload_len` payload bytes to
+/// `out`, which must have room for kMaxFrameHeaderSize bytes. Returns the
+/// bytes written; the payload follows them on the wire.
+size_t pack_header(const FrameHeader& h, size_t payload_len, uint8_t* out);
+
+/// The whole frame, header and payload, in one buffer.
 [[nodiscard]] std::vector<uint8_t> pack_frame(const Frame& f);
-/// Append the packed frame to `out` with a single exact reservation
-/// (header + payload) — no incremental growth.
-void pack_frame_into(const Frame& f, std::vector<uint8_t>& out);
+
+/// Parse the `len` frame bytes at `data` without copying the payload.
+/// Throws WireError on a bad magic, version or kind, a truncated header or
+/// extension, or a payload length that disagrees with `len`.
+[[nodiscard]] FrameView view_frame(const uint8_t* data, size_t len);
+/// view_frame plus a copy of the payload.
 [[nodiscard]] Frame unpack_frame(const std::vector<uint8_t>& bytes);
 
 // ---- chunked (streaming) messages -------------------------------------------
@@ -134,9 +171,9 @@ struct ChunkInfo {
   uint8_t flags = 0;
 };
 
-/// Build a Chunk frame payload: sub-header followed by `len` piece bytes.
-void pack_chunk_into(const ChunkInfo& info, const uint8_t* data, size_t len,
-                     std::vector<uint8_t>& out);
+/// Write a Chunk frame's sub-header (kChunkHeaderSize bytes) to `out`; the
+/// piece bytes follow it in the frame payload.
+void pack_chunk_header(const ChunkInfo& info, uint8_t* out);
 
 struct ChunkView {
   ChunkInfo info;
@@ -144,9 +181,10 @@ struct ChunkView {
   size_t len = 0;
 };
 
-/// Split a Chunk frame payload back into sub-header + piece bytes. Throws
-/// WireError when the payload is shorter than the sub-header.
-[[nodiscard]] ChunkView parse_chunk(const std::vector<uint8_t>& payload);
+/// Split the `len` bytes of a Chunk frame payload at `payload` back into
+/// sub-header + piece bytes. Throws WireError when the payload is shorter
+/// than the sub-header.
+[[nodiscard]] ChunkView parse_chunk(const uint8_t* payload, size_t len);
 
 /// Encode `v` delivering the byte stream as bounded pieces: every piece
 /// passed to `emit` is exactly `max_piece` bytes except the final one,

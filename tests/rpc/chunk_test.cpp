@@ -3,6 +3,7 @@
 // single-frame path, on the engine and through compiled stubs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "runtime/layout.hpp"
 #include "runtime/threaded.hpp"
 #include "support/rng.hpp"
+#include "transport/link.hpp"
 #include "wire/wire.hpp"
 
 namespace mbird::rpc {
@@ -32,13 +34,16 @@ class SpyLink : public transport::Link {
  public:
   SpyLink(std::shared_ptr<transport::Link> inner, std::vector<size_t>* sizes)
       : inner_(std::move(inner)), sizes_(sizes) {}
-  void send(std::vector<uint8_t> frame) override {
-    sizes_->push_back(frame.size());
-    inner_->send(std::move(frame));
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
+    sizes_->push_back(head.size() + body.size());
+    inner_->send(head, body);
   }
   std::optional<std::vector<uint8_t>> poll() override {
     return inner_->poll();
   }
+  bool reliable() const override { return inner_->reliable(); }
+  size_t held_bytes() const override { return inner_->held_bytes(); }
 
  private:
   std::shared_ptr<transport::Link> inner_;
@@ -270,6 +275,87 @@ TEST(Chunking, MidStreamFaultAbortsReassembly) {
   EXPECT_EQ(hits, 0);
   EXPECT_EQ(b.stats().chunk_aborts, 1u);
   EXPECT_EQ(b.stats().messages_reassembled, 0u);
+}
+
+/// Write one piece of `message` (bytes [from, to)) as an unsequenced CHUNK
+/// frame of stream `msg_id` toward `port`, the way a stream-side sender
+/// frames it.
+void send_piece(transport::Link& link, uint64_t port, uint32_t msg_id,
+                uint32_t index, uint8_t flags, const std::vector<uint8_t>& message,
+                size_t from, size_t to) {
+  wire::FrameHeader h;
+  h.kind = wire::FrameKind::Chunk;
+  h.origin_node = 1;
+  h.dest_port = port;
+  uint8_t head[wire::kMaxFrameHeaderSize + wire::kChunkHeaderSize];
+  const size_t n = wire::pack_header(h, wire::kChunkHeaderSize + (to - from), head);
+  wire::pack_chunk_header(wire::ChunkInfo{msg_id, index, flags}, head + n);
+  link.send({head, n + wire::kChunkHeaderSize},
+            {message.data() + from, to - from});
+}
+
+TEST(Chunking, RepeatedAndStalePiecesOnStreamLinkAreIgnored) {
+  // A stream link has no seq dedup below reassembly, so a piece index the
+  // stream already holds must be ignored there: neither buffered again nor
+  // appended twice.
+  Node b(2);
+  auto [la, lb] = transport::make_socket_pair();
+  b.connect(1, std::move(lb));
+  Graph g;
+  Ref bytes = g.list_of(g.integer(0, 255));
+  const Value v = byte_list(300, 3);
+  const std::vector<uint8_t> message = wire::encode(g, bytes, v);
+  std::vector<Value> got;
+  uint64_t p = b.open_port(&g, bytes, [&](const Value& x) { got.push_back(x); });
+
+  send_piece(*la, p, 7, 0, 0, message, 0, 100);
+  send_piece(*la, p, 7, 1, 0, message, 100, 200);
+  send_piece(*la, p, 7, 1, 0, message, 100, 200);  // repeated
+  send_piece(*la, p, 7, 0, 0, message, 0, 100);    // stale
+  b.poll();
+  EXPECT_EQ(b.reassembly_bytes(), 200u);  // pieces 0 and 1, once each
+  send_piece(*la, p, 7, 2, wire::kChunkFlagLast, message, 200, message.size());
+  b.poll();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], v);
+  EXPECT_EQ(b.stats().chunks_received, 5u);
+  EXPECT_EQ(b.stats().duplicates_dropped, 0u);  // no seq dedup on this link
+  EXPECT_EQ(b.reassembly_bytes(), 0u);
+}
+
+TEST(Chunking, ReassemblyBudgetCoversAllOfAPeersStreams) {
+  // One peer opens 100 streams of 1 MiB and never sends their last piece.
+  // Each stream alone fits a 4 MiB limit, but the limit covers the peer's
+  // open streams together: the buffered total never exceeds it, and the
+  // streams that would overflow it are aborted.
+  ReliabilityOptions ro;
+  ro.reassembly_limit = 4u << 20;
+  Node b(2, ro);
+  auto [la, lb] = transport::make_socket_pair();
+  b.connect(1, std::move(lb));
+  Graph g;
+  Ref bytes = g.list_of(g.integer(0, 255));
+  uint64_t p = b.open_port(&g, bytes, [](const Value&) {
+    ADD_FAILURE() << "an incomplete stream was delivered";
+  });
+
+  const std::vector<uint8_t> piece(64 * 1024, 0x5a);
+  size_t peak = 0;
+  for (uint32_t stream = 1; stream <= 100; ++stream) {
+    for (uint32_t index = 0; index < 16; ++index) {
+      send_piece(*la, p, stream, index, 0, piece, 0, piece.size());
+      while (la->held_bytes() != 0) {
+        b.poll();
+        la->poll();  // flushes what the kernel refused
+      }
+      b.poll();
+      peak = std::max(peak, b.reassembly_bytes());
+    }
+  }
+  EXPECT_LE(peak, ro.reassembly_limit);
+  EXPECT_EQ(peak, ro.reassembly_limit);  // four whole streams fit
+  EXPECT_GT(b.stats().chunk_aborts, 0u);
+  EXPECT_EQ(b.stats().chunks_received, 1600u);
 }
 
 // ---- streaming-marshal acceptance -------------------------------------------

@@ -3,17 +3,21 @@
 // traffic, and backpressure stall/resume.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rpc/reactor.hpp"
 #include "rpc/rpc.hpp"
 #include "transport/socket.hpp"
+#include "wire/wire.hpp"
 
 namespace mbird::rpc {
 namespace {
@@ -278,6 +282,9 @@ TEST(Reactor, BackpressureStallsAndResumes) {
   // With a 1-buffer high-water mark the reply's unacked frame trips the
   // stall (EPOLLIN shed), and the stall clears once the pool drains —
   // here via retransmit-exhaustion expiry, since the shed ack can't land.
+  // The client's link is a zero-drop make_lossy wrapper, so its channel
+  // runs the sublayer and the server's channel latches sequenced too:
+  // only sequenced channels hold pool buffers until acked.
   Fn fn = make_fn();
   Node server(1);
   ReactorOptions opts;
@@ -292,8 +299,10 @@ TEST(Reactor, BackpressureStallsAndResumes) {
       });
 
   Node client(2);
-  client.connect(1, transport::polled_socket_link(
-                        transport::dial_fd(reactor.listen_address())));
+  client.connect(1, transport::make_lossy(
+                        transport::polled_socket_link(
+                            transport::dial_fd(reactor.listen_address())),
+                        transport::FaultOptions{}));
   std::optional<Value> reply;
   uint64_t rp = client.open_port(
       &fn.g, fn.out, [&](const Value& v) { reply = v; }, true);
@@ -313,6 +322,209 @@ TEST(Reactor, BackpressureStallsAndResumes) {
   }
   EXPECT_TRUE(saw_stall);
   EXPECT_FALSE(reactor.stalled());
+}
+
+TEST(Reactor, StreamClientThatStopsReadingIsStalledUntilItReads) {
+  // A stream client pipelines echo requests but never reads: once the
+  // replies it leaves unread exceed send_window x max_frame_payload in the
+  // server's socket buffer, its connection stops being read. When it reads
+  // again the stall clears and every reply arrives intact.
+  Graph g;
+  Ref blob = g.record({g.list_of(g.character(stype::Repertoire::Latin1))},
+                      {"payload"});
+  Ref invocation = g.record({blob, g.port(blob)}, {"args", "reply"});
+  ReliabilityOptions ro;
+  ro.send_window = 4;
+  ro.max_frame_payload = 16 * 1024;  // a 64 KiB bound on held replies
+  Node server(1, ro);
+  Reactor reactor(server);
+  reactor.listen(test_addr("noread"));
+  uint64_t echo = serve_function(server, g, invocation,
+                                 [](const Value& args) { return args; });
+
+  // The client's link is a bare SocketPeer: it writes on send() and
+  // on_writable(), and reads only when the test calls on_readable().
+  auto sock = std::make_shared<transport::SocketPeer>(
+      transport::dial_fd(reactor.listen_address()));
+  Node client(2);
+  client.connect(1, sock);
+  constexpr size_t kCalls = 64;
+  std::vector<std::string> texts;
+  std::vector<std::optional<Value>> replies(kCalls);
+  for (size_t i = 0; i < kCalls; ++i) {
+    texts.emplace_back(32 * 1024, static_cast<char>('a' + i % 26));
+    uint64_t rp = client.open_port(
+        &g, blob, [&replies, i](const Value& v) { replies[i] = v; }, true);
+    client.send(echo, g, invocation,
+                Value::record({Value::record({Value::string(texts[i])}),
+                               Value::port(rp)}));
+  }
+  bool saw_stall = false;
+  for (int i = 0; i < 20000 && !saw_stall; ++i) {
+    reactor.run_once(0);
+    sock->on_writable();
+    saw_stall = reactor.stalled();
+  }
+  ASSERT_TRUE(saw_stall);
+  EXPECT_EQ(client.stats().frames_received, 0u);
+
+  auto all_in = [&] {
+    for (const auto& r : replies) {
+      if (!r) return false;
+    }
+    return true;
+  };
+  for (int i = 0; i < 200000 && !all_in(); ++i) {
+    reactor.run_once(0);
+    sock->on_writable();
+    sock->on_readable();
+    client.poll();
+  }
+  ASSERT_TRUE(all_in());
+  for (size_t i = 0; i < kCalls; ++i) {
+    const auto chars = replies[i]->at(0).packed_chars();
+    ASSERT_TRUE(chars.has_value());
+    EXPECT_TRUE(*chars == texts[i]) << "reply " << i;
+  }
+  reactor.run_once(0);
+  EXPECT_FALSE(reactor.stalled());
+  EXPECT_EQ(server.stats().retransmits, 0u);
+  EXPECT_EQ(server.stats().acks_sent, 0u);
+}
+
+TEST(Reactor, OpenChunkStreamsDoNotStallOtherClients) {
+  // One client opens more chunk streams than the pool high-water mark and
+  // never finishes them. Open reassembly buffers are not send-side
+  // occupancy: the reactor must keep reading, so another client's calls
+  // still complete.
+  Fn fn = make_fn();
+  Node server(1);
+  ReactorOptions opts;
+  opts.pool_high_water = 16;
+  opts.pool_low_water = 8;
+  Reactor reactor(server, opts);
+  reactor.listen(test_addr("openstreams"));
+  uint64_t fn_port = serve_function(
+      server, fn.g, fn.invocation, [](const Value& args) {
+        return Value::record(
+            {Value::real(static_cast<double>(args.at(0).as_int()))});
+      });
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* caller = dial_client(owned, 2, reactor, reactor.listen_address());
+  auto call = [&](int x) {
+    std::optional<Value> reply;
+    uint64_t rp = caller->open_port(
+        &fn.g, fn.out, [&](const Value& v) { reply = v; }, true);
+    caller->send(fn_port, fn.g, fn.invocation,
+                 Value::record({Value::record({Value::integer(x)}),
+                                Value::port(rp)}));
+    EXPECT_TRUE(drive(reactor, {caller}, [&] { return reply.has_value(); }))
+        << "call " << x;
+    return reply;
+  };
+  ASSERT_TRUE(call(1).has_value());
+
+  // Piece 0 of stream `id`: one byte, no Last flag.
+  transport::SocketPeer opener(transport::dial_fd(reactor.listen_address()));
+  constexpr uint32_t kStreams = 4 * 16;
+  for (uint32_t id = 1; id <= kStreams; ++id) {
+    wire::FrameHeader h;
+    h.kind = wire::FrameKind::Chunk;
+    h.origin_node = 3;
+    h.dest_port = fn_port;
+    uint8_t head[wire::kMaxFrameHeaderSize + wire::kChunkHeaderSize];
+    const size_t n = wire::pack_header(h, wire::kChunkHeaderSize + 1, head);
+    wire::pack_chunk_header(wire::ChunkInfo{id, 0, 0}, head + n);
+    const uint8_t piece = 0x5a;
+    opener.send({head, n + wire::kChunkHeaderSize}, {&piece, 1});
+  }
+  ASSERT_EQ(opener.held_bytes(), 0u);
+  ASSERT_TRUE(drive(reactor, {},
+                    [&] { return server.reassembly_bytes() == kStreams; }));
+
+  for (int x = 2; x <= 4; ++x) {
+    auto reply = call(x);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, Value::record({Value::real(x)}));
+  }
+  EXPECT_FALSE(reactor.stalled());
+  EXPECT_EQ(server.reassembly_bytes(), kStreams);
+}
+
+TEST(Reactor, AddPeerReactorsExchangeLargeMessagesBothWays) {
+  // Two reactors joined with add_peer() each send the other 8 MiB at once.
+  // Both links hold far more unsent bytes than send_window x
+  // max_frame_payload; neither side may stop reading, or neither could
+  // drain and both messages would stall forever.
+  Graph g;
+  Ref blob = g.list_of(g.character(stype::Repertoire::Latin1));
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Node a(1), b(2);
+  Reactor ra(a), rb(b);
+  ra.add_peer(2, fds[0]);
+  rb.add_peer(1, fds[1]);
+  std::optional<Value> at_a, at_b;
+  uint64_t pa = a.open_port(&g, blob, [&](const Value& v) { at_a = v; });
+  uint64_t pb = b.open_port(&g, blob, [&](const Value& v) { at_b = v; });
+  std::string to_a(8u << 20, '\0'), to_b(8u << 20, '\0');
+  for (size_t i = 0; i < to_a.size(); ++i) {
+    to_a[i] = static_cast<char>(i * 131 + (i >> 10));
+    to_b[i] = static_cast<char>(i * 17 + (i >> 12));
+  }
+  a.send(pb, g, blob, Value::string(to_b));
+  b.send(pa, g, blob, Value::string(to_a));
+
+  for (int i = 0; i < 100000 && !(at_a && at_b); ++i) {
+    ra.run_once(0);
+    rb.run_once(0);
+  }
+  ASSERT_TRUE(at_a.has_value());
+  ASSERT_TRUE(at_b.has_value());
+  EXPECT_TRUE(at_a->packed_chars() == to_a);
+  EXPECT_TRUE(at_b->packed_chars() == to_b);
+  EXPECT_FALSE(ra.stalled());
+  EXPECT_FALSE(rb.stalled());
+}
+
+TEST(Reactor, IdleStreamPeerCostsNoWakeups) {
+  // After a call completes over a stream link nothing is due: the loop
+  // blocks until an event instead of ticking every millisecond.
+  Fn fn = make_fn();
+  Node server(1);
+  Reactor reactor(server);
+  reactor.listen(test_addr("idle"));
+  uint64_t fn_port = serve_function(
+      server, fn.g, fn.invocation, [](const Value& args) {
+        return Value::record(
+            {Value::real(static_cast<double>(args.at(0).as_int()))});
+      });
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* client = dial_client(owned, 2, reactor, reactor.listen_address());
+  std::optional<Value> reply;
+  uint64_t rp = client->open_port(
+      &fn.g, fn.out, [&](const Value& v) { reply = v; }, true);
+  client->send(fn_port, fn.g, fn.invocation,
+               Value::record({Value::record({Value::integer(5)}),
+                              Value::port(rp)}));
+  ASSERT_TRUE(drive(reactor, {client}, [&] { return reply.has_value(); }));
+  ASSERT_FALSE(server.needs_tick());
+
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  std::thread waker([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    reactor.wake();
+  });
+  size_t iterations = 0;
+  reactor.run([&] {
+    if (Clock::now() - start >= std::chrono::milliseconds(200)) return true;
+    ++iterations;
+    return false;
+  });
+  waker.join();
+  EXPECT_LE(iterations, 2u);
+  EXPECT_EQ(reactor.peer_count(), 1u);
 }
 
 TEST(Reactor, AddPeerAdoptsConnectedFd) {

@@ -1,11 +1,19 @@
 // The ack/retransmit sublayer under injected faults: RPC round-trips must
 // survive aggressive drop/duplicate/reorder rates, dedup state must stay
 // O(window) under sustained traffic, and exhausted retries must surface as
-// a typed timeout instead of a livelocked pump.
+// a typed timeout instead of a livelocked pump. Over stream sockets the
+// sublayer is skipped, unless the peer sends sequenced frames.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "mtype/mtype.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
+#include "transport/socket.hpp"
+#include "wire/wire.hpp"
 
 namespace mbird::rpc {
 namespace {
@@ -22,6 +30,28 @@ Graph make_fn_graph(Ref& invocation) {
   invocation = g.record({in, g.port(out)}, {"args", "reply"});
   return g;
 }
+
+/// Records every frame sent through a link, then forwards it.
+class FrameLog : public transport::Link {
+ public:
+  FrameLog(std::unique_ptr<transport::Link> inner,
+           std::vector<std::vector<uint8_t>>* frames)
+      : inner_(std::move(inner)), frames_(frames) {}
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
+    std::vector<uint8_t> frame(head.begin(), head.end());
+    frame.insert(frame.end(), body.begin(), body.end());
+    frames_->push_back(std::move(frame));
+    inner_->send(head, body);
+  }
+  std::optional<std::vector<uint8_t>> poll() override { return inner_->poll(); }
+  bool reliable() const override { return inner_->reliable(); }
+  size_t held_bytes() const override { return inner_->held_bytes(); }
+
+ private:
+  std::unique_ptr<transport::Link> inner_;
+  std::vector<std::vector<uint8_t>>* frames_;
+};
 
 struct Pair {
   Node client{1};
@@ -163,6 +193,103 @@ TEST(Reliability, RoundTripsOverRealSocketpair) {
                                 {&client, &server});
     ASSERT_EQ(reply, Value::record({Value::real(i + 1.0)})) << "call " << i;
   }
+  EXPECT_EQ(client.stats().timed_out_calls, 0u);
+}
+
+TEST(Reliability, SocketpairChannelsSendUnsequencedFramesOnly) {
+  // A stream socket already delivers every frame once and in order: the
+  // channels over it send seq-0 frames and never ack, dedup or retransmit.
+  Ref invocation;
+  Graph g = make_fn_graph(invocation);
+  Node client(1), server(2);
+  auto [lc, ls] = transport::make_socket_pair();
+  std::vector<std::vector<uint8_t>> wire_frames;
+  client.connect(2, std::make_shared<FrameLog>(std::move(lc), &wire_frames));
+  server.connect(1, std::make_shared<FrameLog>(std::move(ls), &wire_frames));
+  uint64_t fn = serve_function(server, g, invocation, [](const Value& args) {
+    return Value::record({Value::real(static_cast<double>(args.at(0).as_int()) * 3)});
+  });
+  for (int i = 0; i < 200; ++i) {
+    Value reply = call_function(client, fn, g, invocation,
+                                Value::record({Value::integer(i)}),
+                                {&client, &server});
+    ASSERT_EQ(reply, Value::record({Value::real(3.0 * i)})) << "call " << i;
+  }
+  for (const Node* n : {&client, &server}) {
+    EXPECT_EQ(n->stats().acks_sent, 0u);
+    EXPECT_EQ(n->stats().acks_received, 0u);
+    EXPECT_EQ(n->stats().retransmits, 0u);
+    EXPECT_EQ(n->stats().duplicates_dropped, 0u);
+    EXPECT_EQ(n->stats().max_inflight, 0u);
+    EXPECT_FALSE(n->has_pending());
+    EXPECT_FALSE(n->needs_tick());
+  }
+  ASSERT_EQ(wire_frames.size(), 400u);  // one request and one reply per call
+  for (const auto& frame : wire_frames) {
+    const wire::FrameView f = wire::view_frame(frame.data(), frame.size());
+    EXPECT_EQ(f.kind, wire::FrameKind::Data);
+    EXPECT_EQ(f.seq, 0u);
+    EXPECT_EQ(f.cum_ack, 0u);
+  }
+}
+
+TEST(Reliability, EightMiBEchoOverSocketpairCompletes) {
+  // The request's tail waits in the client's link for socket space while
+  // no reply can arrive yet; has_pending() must count those held bytes, or
+  // call_function would take the quiet rounds for an idle channel and
+  // give up.
+  Graph g;
+  Ref blob = g.record({g.list_of(g.character(stype::Repertoire::Latin1))},
+                      {"payload"});
+  Ref invocation = g.record({blob, g.port(blob)}, {"args", "reply"});
+  Node client(1), server(2);
+  auto [lc, ls] = transport::make_socket_pair();
+  client.connect(2, std::move(lc));
+  server.connect(1, std::move(ls));
+  uint64_t echo = serve_function(server, g, invocation,
+                                 [](const Value& args) { return args; });
+  std::string text(8u << 20, '\0');
+  for (size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>(i * 7 + (i >> 13));
+  }
+  const Value args = Value::record({Value::string(text)});
+  Value reply = call_function(client, echo, g, invocation, args,
+                              {&client, &server});
+  const auto chars = reply.at(0).packed_chars();
+  ASSERT_TRUE(chars.has_value());
+  EXPECT_TRUE(*chars == text);
+  EXPECT_EQ(client.stats().timed_out_calls, 0u);
+  EXPECT_EQ(server.stats().messages_reassembled, 1u);
+  EXPECT_EQ(client.stats().messages_reassembled, 1u);
+  EXPECT_EQ(client.reassembly_bytes() + server.reassembly_bytes(), 0u);
+}
+
+TEST(Reliability, LossyClientLatchesPlainSocketServerIntoSequencing) {
+  // Only the client's end is lossy (10% of frames dropped each way). Its
+  // channel numbers its frames, so the server's channel, over a plain
+  // socket, latches sequenced on the first one: it acks the client and
+  // retransmits the replies the client's side drops.
+  Ref invocation;
+  Graph g = make_fn_graph(invocation);
+  Node client(1), server(2);
+  auto [lc, ls] = transport::make_socket_pair();
+  transport::FaultOptions f;
+  f.drop_probability = 0.1;
+  f.seed = 20261017;
+  client.connect(2, transport::make_lossy(std::move(lc), f));
+  server.connect(1, std::move(ls));
+  uint64_t fn = serve_function(server, g, invocation, [](const Value& args) {
+    return Value::record({Value::real(static_cast<double>(args.at(0).as_int()) - 1)});
+  });
+  for (int i = 0; i < 200; ++i) {
+    Value reply = call_function(client, fn, g, invocation,
+                                Value::record({Value::integer(i)}),
+                                {&client, &server});
+    ASSERT_EQ(reply, Value::record({Value::real(i - 1.0)})) << "call " << i;
+  }
+  EXPECT_GT(server.stats().acks_sent, 0u);
+  EXPECT_GT(server.stats().retransmits, 0u);
+  EXPECT_GT(client.stats().retransmits, 0u);
   EXPECT_EQ(client.stats().timed_out_calls, 0u);
 }
 

@@ -41,13 +41,18 @@ class FrameSpy : public transport::Link {
   FrameSpy(std::unique_ptr<transport::Link> inner,
            std::vector<std::vector<uint8_t>>* frames)
       : inner_(std::move(inner)), frames_(frames) {}
-  void send(std::vector<uint8_t> frame) override {
-    frames_->push_back(frame);
-    inner_->send(std::move(frame));
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
+    std::vector<uint8_t> frame(head.begin(), head.end());
+    frame.insert(frame.end(), body.begin(), body.end());
+    frames_->push_back(std::move(frame));
+    inner_->send(head, body);
   }
   std::optional<std::vector<uint8_t>> poll() override {
     return inner_->poll();
   }
+  bool reliable() const override { return inner_->reliable(); }
+  size_t held_bytes() const override { return inner_->held_bytes(); }
 
  private:
   std::unique_ptr<transport::Link> inner_;

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -264,6 +265,40 @@ TEST_F(E2eObsTest, StitchedTraceSurvivesFivePercentLoss) {
   run_stitched_scenario("lossy", /*loss=*/0.05);
 }
 #endif  // MBIRD_OBS_OFF
+
+// An idle daemon's loop waits without a timeout, so a stop signal must
+// wake it: after serving one stream client and going quiet, `mbird serve
+// --listen` ends its serve loop (its shutdown summary line) within 100 ms
+// of SIGTERM.
+TEST_F(E2eObsTest, IdleDaemonStopsPromptlyOnSigterm) {
+  std::string sock, daemon_json;
+  pid_t pid = start_daemon("idle", /*max_requests=*/0, &sock, &daemon_json);
+  ASSERT_GT(pid, 0);
+  const std::string out = dir_ + "/idle.ready";
+  {
+    ServeProtocol proto;
+    rpc::Node client(5);
+    client.connect(kServeNodeId, transport::polled_socket_link(dial_retry(sock)));
+    echo_call(client, proto, nullptr, /*tolerate_close=*/false);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ASSERT_EQ(slurp(out).find("\"served\""), std::string::npos);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    while (slurp(out).find("\"served\"") == std::string::npos &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    EXPECT_LT(ms, 100) << "serve loop took " << ms << " ms to see SIGTERM";
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  daemons_.erase(std::find(daemons_.begin(), daemons_.end(), pid));
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "daemon exit status " << status;
+}
 
 // A daemon (in-process this time — the flight recorder under test is the
 // global one) that takes a garbage DATA frame on the compile port must

@@ -11,8 +11,8 @@ std::vector<uint8_t> msg(std::initializer_list<uint8_t> b) { return {b}; }
 
 TEST(InProcLink, BidirectionalDelivery) {
   auto [a, b] = make_inproc_pair();
-  a->send(msg({1, 2, 3}));
-  b->send(msg({9}));
+  a->send(msg({1, 2, 3}), {});
+  b->send(msg({9}), {});
   EXPECT_EQ(b->poll(), msg({1, 2, 3}));
   EXPECT_EQ(a->poll(), msg({9}));
   EXPECT_FALSE(a->poll().has_value());
@@ -21,7 +21,7 @@ TEST(InProcLink, BidirectionalDelivery) {
 
 TEST(InProcLink, FifoOrder) {
   auto [a, b] = make_inproc_pair();
-  for (uint8_t i = 0; i < 10; ++i) a->send(msg({i}));
+  for (uint8_t i = 0; i < 10; ++i) a->send(msg({i}), {});
   for (uint8_t i = 0; i < 10; ++i) EXPECT_EQ(b->poll(), msg({i}));
 }
 
@@ -29,7 +29,7 @@ TEST(InProcLink, DropFault) {
   FaultOptions f;
   f.drop_probability = 1.0;
   auto [a, b] = make_inproc_pair(f);
-  a->send(msg({1}));
+  a->send(msg({1}), {});
   EXPECT_FALSE(b->poll().has_value());
 }
 
@@ -37,7 +37,7 @@ TEST(InProcLink, DuplicateFault) {
   FaultOptions f;
   f.duplicate_probability = 1.0;
   auto [a, b] = make_inproc_pair(f);
-  a->send(msg({1}));
+  a->send(msg({1}), {});
   EXPECT_EQ(b->poll(), msg({1}));
   EXPECT_EQ(b->poll(), msg({1}));
   EXPECT_FALSE(b->poll().has_value());
@@ -47,8 +47,8 @@ TEST(InProcLink, ReorderFault) {
   FaultOptions f;
   f.reorder_probability = 1.0;
   auto [a, b] = make_inproc_pair(f);
-  a->send(msg({1}));
-  a->send(msg({2}));
+  a->send(msg({1}), {});
+  a->send(msg({2}), {});
   EXPECT_EQ(b->poll(), msg({2}));
   EXPECT_EQ(b->poll(), msg({1}));
 }
@@ -59,9 +59,9 @@ TEST(InProcLink, ReorderNeedsTwoQueuedFrames) {
   FaultOptions f;
   f.reorder_probability = 1.0;
   auto [a, b] = make_inproc_pair(f);
-  a->send(msg({1}));
+  a->send(msg({1}), {});
   EXPECT_EQ(b->poll(), msg({1}));
-  a->send(msg({2}));
+  a->send(msg({2}), {});
   EXPECT_EQ(b->poll(), msg({2}));
 }
 
@@ -75,7 +75,7 @@ TEST(InProcLink, ReorderPermutesButLosesNothing) {
   f.reorder_probability = 0.5;
   f.seed = 11;
   auto [a, b] = make_inproc_pair(f);
-  for (uint8_t i = 0; i < 32; ++i) a->send(msg({i}));
+  for (uint8_t i = 0; i < 32; ++i) a->send(msg({i}), {});
   std::vector<uint8_t> order;
   while (auto m = b->poll()) order.push_back((*m)[0]);
   ASSERT_EQ(order.size(), 32u);
@@ -96,9 +96,9 @@ TEST(InProcLink, ReorderIsPerDirection) {
   f.reorder_probability = 1.0;
   auto [a, b] = make_inproc_pair(f);
   // Interleaved directions must not swap across queues.
-  a->send(msg({1}));
-  b->send(msg({9}));
-  a->send(msg({2}));
+  a->send(msg({1}), {});
+  b->send(msg({9}), {});
+  a->send(msg({2}), {});
   EXPECT_EQ(a->poll(), msg({9}));
   EXPECT_EQ(b->poll(), msg({2}));
   EXPECT_EQ(b->poll(), msg({1}));
@@ -113,7 +113,7 @@ TEST(InProcLink, FaultsAreSeedDeterministic) {
     auto [a, b] = make_inproc_pair(f);
     auto& sink = trial == 0 ? delivered1 : delivered2;
     for (uint8_t i = 0; i < 32; ++i) {
-      a->send(msg({i}));
+      a->send(msg({i}), {});
       sink.push_back(b->poll().has_value());
     }
   }
@@ -122,7 +122,7 @@ TEST(InProcLink, FaultsAreSeedDeterministic) {
 
 TEST(SocketLink, RoundtripOverKernel) {
   auto [a, b] = make_socket_pair();
-  a->send(msg({1, 2, 3, 4, 5}));
+  a->send(msg({1, 2, 3, 4, 5}), {});
   // The kernel may need a beat; poll loops until data lands (socketpair is
   // local so one pass suffices in practice).
   std::optional<std::vector<uint8_t>> got;
@@ -133,9 +133,9 @@ TEST(SocketLink, RoundtripOverKernel) {
 
 TEST(SocketLink, FramingAcrossMultipleMessages) {
   auto [a, b] = make_socket_pair();
-  a->send(msg({1}));
-  a->send(msg({2, 2}));
-  a->send(msg({3, 3, 3}));
+  a->send(msg({1}), {});
+  a->send(msg({2, 2}), {});
+  a->send(msg({3, 3, 3}), {});
   std::vector<std::vector<uint8_t>> got;
   for (int i = 0; i < 100 && got.size() < 3; ++i) {
     while (auto m = b->poll()) got.push_back(*m);
@@ -150,7 +150,7 @@ TEST(SocketLink, LargeMessage) {
   auto [a, b] = make_socket_pair();
   std::vector<uint8_t> big(200000);
   for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<uint8_t>(i * 7);
-  a->send(big);
+  a->send(big, {});
   std::optional<std::vector<uint8_t>> got;
   for (int i = 0; i < 10000 && !got; ++i) got = b->poll();
   ASSERT_TRUE(got.has_value());
@@ -173,7 +173,7 @@ TEST(SocketLink, FullKernelBufferIsBufferedNotFatal) {
   constexpr size_t kFrames = 64;  // ~4 MB total, well past SO_SNDBUF
   for (size_t i = 0; i < kFrames; ++i) {
     frame[0] = static_cast<uint8_t>(i);
-    a->send(frame);
+    a->send(frame, {});
   }
   std::vector<std::vector<uint8_t>> got;
   // Draining b makes room; polling a flushes its backlog into that room.
@@ -195,8 +195,8 @@ TEST(SocketLink, BidirectionalFloodDoesNotDeadlock) {
   std::vector<uint8_t> frame(65536, 0xab);
   constexpr size_t kFrames = 16;
   for (size_t i = 0; i < kFrames; ++i) {
-    a->send(frame);
-    b->send(frame);
+    a->send(frame, {});
+    b->send(frame, {});
   }
   size_t got_a = 0, got_b = 0;
   for (int spin = 0;

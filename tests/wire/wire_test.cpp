@@ -284,6 +284,30 @@ TEST(Wire, FrameTraceExtensionTruncatedDetected) {
   }
 }
 
+TEST(Wire, HeaderPackAndInPlaceViewMatchTheWholeFrame) {
+  // The send path packs only the header and the receive path views the
+  // payload where it lies: header + payload must equal pack_frame's bytes,
+  // and view_frame's payload must point into the buffer it parsed.
+  Frame f;
+  f.kind = FrameKind::Chunk;
+  f.origin_node = 4;
+  f.dest_port = (static_cast<uint64_t>(2) << 48) | 3;
+  f.trace_id = 77;
+  f.parent_span_id = 78;
+  f.payload = {5, 6, 7, 8};
+  uint8_t head[kMaxFrameHeaderSize];
+  const size_t n = pack_header(f, f.payload.size(), head);
+  std::vector<uint8_t> joined(head, head + n);
+  joined.insert(joined.end(), f.payload.begin(), f.payload.end());
+  EXPECT_EQ(joined, pack_frame(f));
+  const FrameView v = view_frame(joined.data(), joined.size());
+  EXPECT_EQ(v.kind, FrameKind::Chunk);
+  EXPECT_EQ(v.seq, 0u);
+  EXPECT_EQ(v.trace_id, 77u);
+  EXPECT_EQ(v.payload, joined.data() + n);
+  EXPECT_EQ(v.len, f.payload.size());
+}
+
 TEST(Wire, AckFrameRoundtrip) {
   Frame f;
   f.kind = FrameKind::Ack;
