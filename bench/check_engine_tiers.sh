@@ -14,7 +14,7 @@
 #   * threaded >= 3x two-phase: the engine's fused, pre-decoded stream
 #     must keep beating materialize-convert-encode.
 #
-# Committed bench/BENCH_native.json numbers: 2.6 / 39.7 / 4354 ns. A
+# Committed bench/BENCH_native.json numbers: 3.3 / 48.9 / 6040 ns. A
 # missing or errored row fails too — the compiled row needs a host `cc`,
 # which CI has, so a silently skipped stub is a regression here.
 set -eu

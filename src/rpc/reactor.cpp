@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,14 +35,6 @@ struct ReactorMetrics {
 ReactorMetrics& xm() {
   static ReactorMetrics m;
   return m;
-}
-
-/// Peer node id from a complete frame's header (origin field, big-endian
-/// u16 at bytes [7..9)); nullopt if the frame is too short to carry one.
-std::optional<uint16_t> frame_origin(const std::vector<uint8_t>& frame) {
-  if (frame.size() < 9) return std::nullopt;
-  return static_cast<uint16_t>((static_cast<uint16_t>(frame[7]) << 8) |
-                               frame[8]);
 }
 
 }  // namespace
@@ -142,7 +135,14 @@ size_t Reactor::service(Conn& c, uint32_t events, bool& dead) {
     // arrives there is nothing to deliver.
     const std::vector<uint8_t>* first = c.sock->front();
     if (first != nullptr) {
-      if (auto origin = frame_origin(*first)) {
+      std::optional<uint16_t> origin;
+      try {
+        origin = wire::view_frame(first->data(), first->size()).origin_node;
+      } catch (const WireError&) {
+        // Not a frame: drop the connection before it can claim a peer id.
+        alive = false;
+      }
+      if (origin) {
         c.peer_id = *origin;
         c.identified = true;
         // A reconnect supersedes the stale channel toward the same peer.
@@ -153,9 +153,6 @@ size_t Reactor::service(Conn& c, uint32_t events, bool& dead) {
         }
         fd_by_peer_[c.peer_id] = c.sock->fd();
         node_.connect(c.peer_id, c.sock);
-      } else {
-        // Garbage shorter than a frame header: drop the connection.
-        alive = false;
       }
     }
   }

@@ -77,7 +77,8 @@ class Reactor {
 
   /// Bind an accepting socket ("unix:PATH", "tcp:HOST:PORT", bare path).
   /// Accepted connections are identified by their first frame's origin
-  /// field. Throws TransportError if the address cannot be bound.
+  /// field; one whose first frame does not parse is dropped. Throws
+  /// TransportError if the address cannot be bound.
   void listen(const std::string& addr);
   /// The resolved listen address (ephemeral TCP ports filled in).
   [[nodiscard]] const std::string& listen_address() const;

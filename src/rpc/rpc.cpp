@@ -26,6 +26,22 @@ RpcMetrics& rm() {
   static RpcMetrics m;
   return m;
 }
+
+/// Hands a send's payload buffer back to the pool however the send ends, a
+/// throw included: the reactor's stall watches the pool's occupancy, so a
+/// leaked buffer would count against every client for good.
+class ReleaseToPool {
+ public:
+  ReleaseToPool(wire::BufferPool& pool, std::vector<uint8_t>& buf)
+      : pool_(pool), buf_(buf) {}
+  ~ReleaseToPool() { pool_.release(std::move(buf_)); }
+  ReleaseToPool(const ReleaseToPool&) = delete;
+  ReleaseToPool& operator=(const ReleaseToPool&) = delete;
+
+ private:
+  wire::BufferPool& pool_;
+  std::vector<uint8_t>& buf_;
+};
 }  // namespace
 
 uint64_t Node::open_port(const Graph* g, Ref msg_type,
@@ -61,13 +77,14 @@ void Node::send(uint64_t dest_port, const Graph& g, Ref msg_type, const Value& v
     local_queue_.emplace_back(dest_port, v);
     return;
   }
-  // Encode into a pooled buffer; send_frame returns it once framed.
   std::vector<uint8_t> payload = pool_.acquire();
+  const ReleaseToPool release(pool_, payload);
   wire::encode_into(g, msg_type, v, payload);
-  send_frame(dest_port, std::move(payload));
+  send_frame(dest_port, payload);
 }
 
 void Node::send_marshaled(uint64_t dest_port, std::vector<uint8_t> payload) {
+  const ReleaseToPool release(pool_, payload);
   if (is_local(dest_port)) {
     // Local delivery needs the Value back; the port's registered type is
     // authoritative (exactly what poll() does for arriving frames).
@@ -80,7 +97,7 @@ void Node::send_marshaled(uint64_t dest_port, std::vector<uint8_t> payload) {
         dest_port, wire::decode(*it->second.graph, it->second.msg_type, payload));
     return;
   }
-  send_frame(dest_port, std::move(payload));
+  send_frame(dest_port, payload);
 }
 
 void Node::note_queue_depth(const PeerState& ps) {
@@ -149,10 +166,9 @@ void Node::emit_frame(uint64_t dest_port, wire::FrameKind kind,
   note_queue_depth(ps);
 }
 
-void Node::send_frame(uint64_t dest_port, std::vector<uint8_t> payload) {
+void Node::send_frame(uint64_t dest_port, std::span<const uint8_t> payload) {
   if (payload.size() <= relopts_.max_frame_payload) {
     emit_frame(dest_port, wire::FrameKind::Data, {}, payload);
-    pool_.release(std::move(payload));
     return;
   }
   // Oversized payload: slice into CHUNK frames so no single frame exceeds
@@ -176,91 +192,6 @@ void Node::send_frame(uint64_t dest_port, std::vector<uint8_t> payload) {
     info.index++;
     off += n;
   }
-  pool_.release(std::move(payload));
-}
-
-void Node::send_chunked(
-    uint64_t dest_port,
-    const std::function<void(size_t max_piece,
-                             const runtime::PieceSink& emit)>& produce) {
-  const size_t piece_max = relopts_.max_frame_payload > wire::kChunkHeaderSize
-                               ? relopts_.max_frame_payload - wire::kChunkHeaderSize
-                               : 1;
-  if (is_local(dest_port)) {
-    // No wire to bound: collect the pieces and deliver like send_marshaled.
-    std::vector<uint8_t> buf = pool_.acquire();
-    produce(piece_max, [&buf](std::vector<uint8_t>&& piece, bool) {
-      buf.insert(buf.end(), piece.begin(), piece.end());
-    });
-    send_marshaled(dest_port, std::move(buf));
-    return;
-  }
-  // Fail before producing anything if there is no link to the destination.
-  if (peers_.find(node_of(dest_port)) == peers_.end()) {
-    throw TransportError("node " + std::to_string(id_) + " has no link to node " +
-                         std::to_string(node_of(dest_port)));
-  }
-  // Hold the first piece back one step: a single-piece message (and the
-  // exactly-one-chunk boundary, where the final piece is empty) degrades to
-  // a plain DATA frame instead of a one-chunk stream.
-  struct StreamState {
-    std::vector<uint8_t> held;
-    bool have_held = false;
-    bool started = false;
-    wire::ChunkInfo info;
-  } st;
-  auto emit_chunk = [&](std::span<const uint8_t> piece, uint8_t flags) {
-    st.info.flags = flags;
-    uint8_t sub[wire::kChunkHeaderSize];
-    wire::pack_chunk_header(st.info, sub);
-    emit_frame(dest_port, wire::FrameKind::Chunk, sub, piece);
-    st.info.index++;
-  };
-  try {
-    produce(piece_max, [&](std::vector<uint8_t>&& piece, bool last) {
-      if (!st.have_held) {
-        if (last) {
-          // Single piece: plain DATA, indistinguishable from send_marshaled.
-          emit_frame(dest_port, wire::FrameKind::Data, {}, piece);
-          st.have_held = true;  // consume: no further pieces expected
-          return;
-        }
-        st.held = std::move(piece);
-        st.have_held = true;
-        return;
-      }
-      if (!st.started) {
-        if (last && piece.empty()) {
-          // Exactly-one-chunk boundary: the held piece IS the message.
-          emit_frame(dest_port, wire::FrameKind::Data, {}, st.held);
-          return;
-        }
-        st.started = true;
-        st.info.msg_id = next_msg_id_++;
-        stats_.messages_chunked.add();
-        emit_chunk(st.held, 0);
-      }
-      emit_chunk(piece, last ? wire::kChunkFlagLast : 0);
-    });
-  } catch (...) {
-    if (st.started) {
-      // Chunks already escaped; tell the receiver to discard the stream.
-      emit_chunk({}, wire::kChunkFlagAbort);
-    }
-    throw;
-  }
-}
-
-void Node::send_streaming(uint64_t dest_port, const Graph& g, Ref msg_type,
-                          const Value& v) {
-  if (is_local(dest_port)) {
-    send(dest_port, g, msg_type, v);
-    return;
-  }
-  send_chunked(dest_port,
-               [&](size_t max_piece, const runtime::PieceSink& emit) {
-                 wire::encode_chunked(g, msg_type, v, max_piece, emit);
-               });
 }
 
 void Node::apply_cum_ack(PeerState& ps, uint64_t cum_ack) {
@@ -352,7 +283,13 @@ void Node::dispatch(uint64_t port_id, const Value& v) {
   // handler itself may open/close ports).
   auto handler = it->second.handler;
   if (it->second.once) ports_.erase(it);
-  handler(v);
+  // A handler that throws (its reply port unreachable, a message shaped for
+  // another port) loses its request, not the node: the drain goes on.
+  try {
+    handler(v);
+  } catch (const std::exception&) {
+    note_decode_fault("rpc.handler_fault");
+  }
 }
 
 size_t Node::deliver_local() {
@@ -897,21 +834,6 @@ void NativeStub::send(uint64_t dest_port, const runtime::NativeHeap& heap,
   std::vector<uint8_t> buf = node_.buffer_pool().acquire();
   marshal_into(heap, addr, buf);
   node_.send_marshaled(dest_port, std::move(buf));
-}
-
-void NativeStub::send_streaming(uint64_t dest_port,
-                                const runtime::NativeHeap& heap, uint64_t addr) {
-  if (node_.is_local(dest_port)) {
-    send(dest_port, heap, addr);
-    return;
-  }
-  // Compiled stubs write one contiguous output buffer, so the Compiled tier
-  // cannot stream; use the engine's chunked marshal (same bytes, same fault
-  // ordering).
-  node_.send_chunked(
-      dest_port, [&](size_t max_piece, const runtime::PieceSink& emit) {
-        engine_.marshal_native_chunked(heap, addr, max_piece, emit);
-      });
 }
 
 std::vector<uint8_t> NativeStub::marshal(const runtime::NativeHeap& heap,

@@ -4,7 +4,10 @@
 // port(tau) values in the Mtype model become 64-bit endpoint ids here
 // ((node id << 48) | local id). Messages to local ports are queued and
 // delivered on poll(); messages to remote ports are marshaled with the
-// wire format and carried by a transport Link.
+// wire format and carried by a transport Link. Every remote send encodes
+// its message once, into a buffer from the node's pool, and one framing
+// step puts it on the link: as a DATA frame, or as CHUNK frames when it is
+// larger than max_frame_payload.
 //
 // On top of raw ports, helpers implement the paper's function model —
 // a function reference is port(Record(Inputs, port(Outputs))) — and the
@@ -102,7 +105,7 @@ struct NodeStats {
   obs::Count chunk_aborts{"rpc.chunk_aborts"};
   // high-water unacked+backlog frames (per peer)
   obs::HighWater max_queue_depth{"rpc.peer.send_queue_depth"};
-  // malformed frames/payloads dropped
+  // malformed frames/payloads dropped, and requests whose handler threw
   obs::Count decode_faults{"rpc.decode_faults"};
 };
 
@@ -167,28 +170,9 @@ class Node {
   /// is ever built. Local destinations decode against the port's registered
   /// type and queue the Value (an unknown local port counts an
   /// unknown_port_drop immediately). Payloads above max_frame_payload are
-  /// split into CHUNK frames transparently.
+  /// split into CHUNK frames transparently. However the send ends, a throw
+  /// included, `payload` goes back to the node's buffer pool.
   void send_marshaled(uint64_t dest_port, std::vector<uint8_t> payload);
-
-  /// Streaming send: `produce(max_piece, emit)` must deliver the message's
-  /// wire bytes through `emit` honoring the PieceSink contract (every piece
-  /// except the last exactly max_piece bytes). Each piece becomes one CHUNK
-  /// frame as it arrives, so peak wire buffering is O(max_frame_payload)
-  /// regardless of message size. Single-piece messages degrade to a plain
-  /// DATA frame — the receiver cannot tell this path from send_marshaled.
-  /// If `produce` throws after pieces were emitted, an abort chunk tells the
-  /// receiver to discard the partial stream, then the exception propagates.
-  /// Local destinations buffer and decode the concatenation.
-  void send_chunked(
-      uint64_t dest_port,
-      const std::function<void(size_t max_piece,
-                               const runtime::PieceSink& emit)>& produce);
-
-  /// Send `v` via the chunked streaming encoder (wire::encode_chunked):
-  /// semantically identical to send(), but multi-MB values never stage a
-  /// full contiguous wire buffer on the send side.
-  void send_streaming(uint64_t dest_port, const mtype::Graph& g,
-                      mtype::Ref msg_type, const Value& v);
 
   /// Deliver pending local messages, drain link frames, retransmit unacked
   /// frames whose backoff expired, and emit acks. Advances the logical
@@ -249,8 +233,7 @@ class Node {
   /// retransmit entries, which are released once acked or expired (a
   /// sequenced one), so steady-state sends stop allocating.
   /// Callers producing payloads for send_marshaled may acquire from here
-  /// too — send_frame returns every payload buffer to the pool after
-  /// framing it.
+  /// too — send_marshaled returns every payload buffer to the pool.
   [[nodiscard]] wire::BufferPool& buffer_pool() { return pool_; }
 
   /// Bookkeeping hook for the call_* helpers (they are free functions).
@@ -318,11 +301,12 @@ class Node {
     size_t reassembly_bytes = 0;  // sum of reassembly[*].bytes
   };
 
+  /// Run `port_id`'s handler on `v`. A handler that throws is counted as a
+  /// decode fault and its request dropped.
   void dispatch(uint64_t port_id, const Value& v);
   /// Frame `payload` as DATA toward a remote port (shared tail of send /
-  /// send_marshaled), splitting oversized payloads into CHUNK frames, and
-  /// return the buffer to the pool.
-  void send_frame(uint64_t dest_port, std::vector<uint8_t> payload);
+  /// send_marshaled), splitting oversized payloads into CHUNK frames.
+  void send_frame(uint64_t dest_port, std::span<const uint8_t> payload);
   /// Send one `kind` frame whose payload is `sub` (a chunk sub-header, or
   /// empty) followed by `body` toward a remote port: written straight to
   /// the link on an unsequenced channel, copied into a retransmit entry on
@@ -338,7 +322,8 @@ class Node {
   /// Drain and deliver everything `ps`'s link has to offer (shared by
   /// poll() and poll_peer()). Returns messages delivered.
   size_t drain_peer(PeerState& ps);
-  /// Count a malformed frame/payload and poke the flight recorder.
+  /// Count a malformed frame/payload or a throwing handler, and poke the
+  /// flight recorder.
   void note_decode_fault(const char* reason);
   /// Deliver the local-queue batch staged before this round.
   size_t deliver_local();
@@ -463,14 +448,6 @@ class NativeStub {
   /// `dest_port` (local ports decode against the port's registered type,
   /// remote ports frame the payload directly).
   void send(uint64_t dest_port, const runtime::NativeHeap& heap, uint64_t addr);
-
-  /// Streaming variant of send(): marshal through the chunked engine path
-  /// so remote sends of multi-MB images emit bounded CHUNK frames instead
-  /// of staging one contiguous payload. The Compiled tier (contiguous
-  /// dlopen'd stubs) degrades to the engine's chunked marshal here; local
-  /// destinations fall back to the plain path.
-  void send_streaming(uint64_t dest_port, const runtime::NativeHeap& heap,
-                      uint64_t addr);
 
   /// Marshal without sending (tests, diagnostics).
   [[nodiscard]] std::vector<uint8_t> marshal(const runtime::NativeHeap& heap,

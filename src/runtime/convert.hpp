@@ -26,14 +26,6 @@ namespace mbird::runtime {
 using PortAdapter =
     std::function<uint64_t(uint64_t src_port, plan::PlanRef portmap_node)>;
 
-/// Receives successive pieces of a chunked (streaming) marshal. Every piece
-/// except the final one is exactly the requested piece size; the final
-/// piece carries the tail (possibly empty) with last=true. The
-/// concatenation of all pieces is byte-identical to the unchunked marshal.
-/// If the marshal throws after pieces were already delivered, no final
-/// piece arrives — the caller must abort whatever stream it was feeding.
-using PieceSink = std::function<void(std::vector<uint8_t>&& piece, bool last)>;
-
 /// Transparent string hashing so Custom dispatch can look converters up by
 /// string_view / const char* without materializing a std::string key.
 struct StringHash {

@@ -1,6 +1,5 @@
 #include "runtime/exec_detail.hpp"
 
-#include <cstring>
 #include <deque>
 #include <iterator>
 
@@ -289,21 +288,6 @@ Value run_convert(const Program& prog, uint32_t entry, const Value& in,
     }
   }
   return std::move(vals.back());
-}
-
-size_t StreamCtl::drain(std::vector<uint8_t>& buf, size_t len) const {
-  size_t pos = 0;
-  while (len - pos >= max) {
-    (*emit)(std::vector<uint8_t>(buf.begin() + static_cast<long>(pos),
-                                 buf.begin() + static_cast<long>(pos + max)),
-            false);
-    pos += max;
-  }
-  if (pos != 0) {
-    std::memmove(buf.data(), buf.data() + pos, len - pos);
-    len -= pos;
-  }
-  return len;
 }
 
 }  // namespace exec

@@ -67,17 +67,4 @@ const std::function<Value(const Value&)>& find_custom(
 Value run_convert(const planir::Program& prog, uint32_t entry, const Value& in,
                   const PortAdapter& adapter, const CustomRegistry& customs);
 
-/// Segmentation state threaded through the marshal streams in chunked
-/// mode: the executor writes into a scratch buffer and drain() ships
-/// exactly-`max`-byte prefixes out through `emit`, keeping the resident
-/// buffer bounded by one piece plus the largest single write (big writes
-/// are themselves sliced to `max`).
-struct StreamCtl {
-  size_t max;
-  const PieceSink* emit;
-  /// Emit exactly-max pieces from buf[0..len), move the tail down to
-  /// offset 0, and return the new tail length.
-  size_t drain(std::vector<uint8_t>& buf, size_t len) const;
-};
-
 }  // namespace mbird::runtime::exec

@@ -106,22 +106,15 @@ struct OutBuf {
   std::vector<uint8_t>& v;
   size_t w;
   size_t mark;
-  // Chunked mode: drain exactly-max pieces out instead of growing, so the
-  // resident buffer stays bounded by ~two pieces. Only ever set together
-  // with a fresh local buffer (mark == 0).
-  exec::StreamCtl* stream = nullptr;
   explicit OutBuf(std::vector<uint8_t>& out)
       : v(out), w(out.size()), mark(out.size()) {}
   uint8_t* need(size_t n) {
     if (v.size() - w < n) {
-      if (stream != nullptr) w = stream->drain(v, w);
-      if (v.size() - w < n) {
-        // Grow in proportion to this run's output, not the caller's total
-        // buffer: a reused append buffer must not pay a zero-fill of its
-        // accumulated contents on every marshal.
-        size_t run = w - mark;
-        v.resize(std::max(w + run / 2 + 16, w + n));
-      }
+      // Grow in proportion to this run's output, not the caller's total
+      // buffer: a reused append buffer must not pay a zero-fill of its
+      // accumulated contents on every marshal.
+      size_t run = w - mark;
+      v.resize(std::max(w + run / 2 + 16, w + n));
     }
     return v.data() + w;
   }
@@ -137,16 +130,6 @@ struct OutBuf {
     ++w;
   }
   void raw(const uint8_t* src, size_t n) {
-    // Slice big spans in chunked mode so one block copy cannot balloon the
-    // resident buffer past the piece bound.
-    if (stream != nullptr) {
-      while (n > stream->max) {
-        std::memcpy(need(stream->max), src, stream->max);
-        w += stream->max;
-        src += stream->max;
-        n -= stream->max;
-      }
-    }
     std::memcpy(need(n), src, n);
     w += n;
   }
@@ -615,8 +598,7 @@ void ThreadedEngine::run_checks(const NativeHeap& heap, uint64_t base) const {
   throw IrError(IrFault::BadOpcode, "threaded stream corrupt");
 
 void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* out_p,
-                                        const void* const** table_out,
-                                        exec::StreamCtl* stream) const {
+                                        const void* const** table_out) const {
   static const void* const table[kTOpCount] = {
       &&L_Halt,    &&L_MUnit,   &&L_MInt,     &&L_MReal32, &&L_MReal64,
       &&L_MChar1,  &&L_MChar4,  &&L_MPort,    &&L_MCustom, &&L_MOpaque,
@@ -633,7 +615,6 @@ void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* o
   const Op* ops = ops_.data();
   const uint32_t* paths = path_pool_.data();
   OutBuf o(*out_p);
-  o.stream = stream;
   struct Frame {
     uint32_t ret_pc;
     uint32_t seg_pc;
@@ -816,8 +797,7 @@ void ThreadedEngine::run_marshal_stream(const Value* in, std::vector<uint8_t>* o
 
 void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
                                        std::vector<uint8_t>* out_p,
-                                       const void* const** table_out,
-                                       exec::StreamCtl* stream) const {
+                                       const void* const** table_out) const {
   static const void* const table[kTOpCount] = {
       &&L_Halt,
       // marshal ops never appear in a native stream
@@ -838,10 +818,9 @@ void ThreadedEngine::run_native_stream(const NativeHeap* heap, uint64_t base,
   const uint8_t* img = needs_image_ ? heap->at(base, il.size) : nullptr;
   const Op* ops = ops_.data();
   OutBuf o(*out_p);
-  o.stream = stream;
-  // The single-exact-resize fast path would stage the whole message; in
-  // chunked mode the buffer must stay bounded, so take the draining path.
-  if (static_size_ >= 0 && stream == nullptr) {
+  // A fully static program's output fits one exact resize: need() never
+  // grows the buffer.
+  if (static_size_ >= 0) {
     out_p->resize(o.w + static_cast<size_t>(static_size_));
   }
   std::vector<uint32_t> rets;  // NCall return pcs
@@ -1073,44 +1052,6 @@ void ThreadedEngine::marshal_native_into(const NativeHeap& heap, uint64_t addr,
     out.resize(mark);
     throw;
   }
-}
-
-void ThreadedEngine::marshal_chunked(const Value& in, size_t max_piece,
-                                     const PieceSink& emit) const {
-  if (prog_->mode != Program::Mode::Marshal) {
-    throw IrError(IrFault::ModeMismatch, "marshal() needs a marshal program");
-  }
-  if (max_piece == 0) {
-    throw IrError(IrFault::BadEntry, "piece size must be positive");
-  }
-  obs::ScopedTimer timer(te_metrics().marshal_ns);
-  if (obs::metrics_on()) te_metrics().marshals.add();
-  ++stats_.runs;
-  std::vector<uint8_t> buf;
-  exec::StreamCtl ctl{max_piece, &emit};
-  run_marshal_stream(&in, &buf, nullptr, &ctl);
-  buf.resize(ctl.drain(buf, buf.size()));
-  emit(std::move(buf), true);
-}
-
-void ThreadedEngine::marshal_native_chunked(const NativeHeap& heap,
-                                            uint64_t addr, size_t max_piece,
-                                            const PieceSink& emit) const {
-  if (prog_->mode != Program::Mode::NativeMarshal) {
-    throw IrError(IrFault::ModeMismatch,
-                  "marshal_native() needs a native-marshal program");
-  }
-  if (max_piece == 0) {
-    throw IrError(IrFault::BadEntry, "piece size must be positive");
-  }
-  obs::ScopedTimer timer(te_metrics().marshal_native_ns);
-  if (obs::metrics_on()) te_metrics().marshals_native.add();
-  ++stats_.runs;
-  std::vector<uint8_t> buf;
-  exec::StreamCtl ctl{max_piece, &emit};
-  run_native_stream(&heap, addr, &buf, nullptr, &ctl);
-  buf.resize(ctl.drain(buf, buf.size()));
-  emit(std::move(buf), true);
 }
 
 size_t ThreadedEngine::op_count() const { return ops_.size(); }

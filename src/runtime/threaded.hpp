@@ -47,10 +47,6 @@ namespace mbird::runtime {
 
 class NativeHeap;
 
-namespace exec {
-struct StreamCtl;
-}
-
 /// Total wire bytes a native-marshal program emits, when every op has a
 /// static width (no LoadOpaque). The engine uses it for the single-resize
 /// fast path; the compiled-stub cache for output buffer sizing.
@@ -109,18 +105,6 @@ class ThreadedEngine {
   void marshal_native_into(const NativeHeap& heap, uint64_t addr,
                            std::vector<uint8_t>& out) const;
 
-  /// Chunked (streaming) marshal: deliver the wire bytes as bounded pieces
-  /// through `emit` (see PieceSink for the piece-size/last contract) with
-  /// O(max_piece) resident buffering instead of staging the full message
-  /// (the static-size exact resize fast path is bypassed in this mode).
-  /// The concatenated pieces are byte-identical to marshal(). If marshaling
-  /// throws after pieces were emitted, no final piece arrives — the caller
-  /// aborts its stream.
-  void marshal_chunked(const Value& in, size_t max_piece,
-                       const PieceSink& emit) const;
-  void marshal_native_chunked(const NativeHeap& heap, uint64_t addr,
-                              size_t max_piece, const PieceSink& emit) const;
-
   [[nodiscard]] const planir::Program& program() const { return *prog_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] size_t op_count() const;
@@ -139,12 +123,10 @@ class ThreadedEngine {
   // With table_out set, returns the dispatch-label table instead of
   // executing (bind_labels fetches label addresses this way).
   void run_marshal_stream(const Value* in, std::vector<uint8_t>* out,
-                          const void* const** table_out,
-                          exec::StreamCtl* stream = nullptr) const;
+                          const void* const** table_out) const;
   void run_native_stream(const NativeHeap* heap, uint64_t addr,
                          std::vector<uint8_t>* out,
-                         const void* const** table_out,
-                         exec::StreamCtl* stream = nullptr) const;
+                         const void* const** table_out) const;
 
   std::shared_ptr<const planir::Program> prog_;
   PortAdapter adapter_;

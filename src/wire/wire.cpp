@@ -112,60 +112,29 @@ bool one_byte(stype::Repertoire r) {
   return r == stype::Repertoire::Ascii || r == stype::Repertoire::Latin1;
 }
 
-/// Segmentation state threaded through encode_node when chunking: the
-/// encoder appends into `buf` and ships full `max`-byte prefixes out
-/// through `emit` at container boundaries, so the resident buffer never
-/// grows past max + one scalar.
-struct ChunkCtl {
-  size_t max;
-  std::vector<uint8_t>* buf;
-  const std::function<void(std::vector<uint8_t>&&, bool last)>* emit;
-
-  void maybe_flush() {
-    while (buf->size() >= max) {
-      std::vector<uint8_t> piece(buf->begin(), buf->begin() + static_cast<long>(max));
-      buf->erase(buf->begin(), buf->begin() + static_cast<long>(max));
-      (*emit)(std::move(piece), false);
-    }
-  }
-};
-
-void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth,
-                 ChunkCtl* ctl);
+void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink,
+                 int depth);
 
 /// Encode a List (either form) as its length and then its elements. A
 /// packed List sent as 1-byte Chars is appended as one run; every other
 /// case goes through at(i), so its bytes and errors are the element form's.
 void encode_list(const Graph& g, Ref elem, const Value& list, Sink& sink,
-                 int depth, ChunkCtl* ctl) {
+                 int depth) {
   sink.big(list.size(), 4);
   if (auto run = list.packed_chars()) {
     const auto& en = g.at(mtype::skip_var(g, elem));
     if (en.kind == MKind::Char && one_byte(en.repertoire)) {
-      std::string_view rest = *run;
-      while (!rest.empty()) {
-        // Chunked, a slice fills no more than the room left in the current
-        // piece, so a flush never shifts the whole run down the buffer.
-        size_t n = rest.size();
-        if (ctl) {
-          ctl->maybe_flush();
-          n = std::min(n, ctl->max - ctl->buf->size());
-        }
-        sink.raw(rest.data(), n);
-        rest.remove_prefix(n);
-      }
-      if (ctl) ctl->maybe_flush();
+      sink.raw(run->data(), run->size());
       return;
     }
   }
   for (size_t i = 0; i < list.size(); ++i) {
-    encode_node(g, elem, list.at(i), sink, depth + 1, ctl);
-    if (ctl) ctl->maybe_flush();
+    encode_node(g, elem, list.at(i), sink, depth + 1);
   }
 }
 
-void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth,
-                 ChunkCtl* ctl) {
+void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink,
+                 int depth) {
   if (depth > kMaxDepth) throw WireError("encode recursion limit");
   type = mtype::skip_var(g, type);
   const auto& n = g.at(type);
@@ -201,8 +170,7 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
         throw WireError("value does not match record shape");
       }
       for (size_t i = 0; i < n.children.size(); ++i) {
-        encode_node(g, n.children[i], v.at(i), sink, depth + 1, ctl);
-        if (ctl) ctl->maybe_flush();
+        encode_node(g, n.children[i], v.at(i), sink, depth + 1);
       }
       return;
     }
@@ -217,7 +185,7 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
         throw WireError("value does not match choice shape");
       }
       sink.big(val->arm(), 4);
-      encode_node(g, n.children[val->arm()], val->inner(), sink, depth + 1, ctl);
+      encode_node(g, n.children[val->arm()], val->inner(), sink, depth + 1);
       return;
     }
     case MKind::Rec: {
@@ -225,15 +193,15 @@ void encode_node(const Graph& g, Ref type, const Value& v, Sink& sink, int depth
       if (elems && elems->size() == 1) {
         // A List is walked in place; only a nil/cons chain materializes.
         if (v.is(Value::Kind::List)) {
-          encode_list(g, (*elems)[0], v, sink, depth, ctl);
+          encode_list(g, (*elems)[0], v, sink, depth);
           return;
         }
         if (auto lst = v.as_list()) {
-          encode_list(g, (*elems)[0], Value::list(std::move(*lst)), sink, depth, ctl);
+          encode_list(g, (*elems)[0], Value::list(std::move(*lst)), sink, depth);
           return;
         }
       }
-      encode_node(g, n.body(), v, sink, depth + 1, ctl);
+      encode_node(g, n.body(), v, sink, depth + 1);
       return;
     }
     case MKind::Port: sink.big(v.as_port(), 8); return;
@@ -328,7 +296,7 @@ void encode_into(const Graph& g, Ref type, const Value& v,
   size_t mark = out.size();
   try {
     Sink sink(out);
-    encode_node(g, type, v, sink, 0, nullptr);
+    encode_node(g, type, v, sink, 0);
   } catch (...) {
     out.resize(mark);
     throw;
@@ -393,7 +361,7 @@ std::vector<uint8_t> pack_frame(const Frame& f) {
   return out;
 }
 
-// ---- chunked (streaming) messages -------------------------------------------
+// ---- CHUNK frames -----------------------------------------------------------
 
 void pack_chunk_header(const ChunkInfo& info, uint8_t* out) {
   out = put_big(out, info.msg_id, 4);
@@ -413,17 +381,6 @@ ChunkView parse_chunk(const uint8_t* payload, size_t len) {
   view.data = payload + kChunkHeaderSize;
   view.len = len - kChunkHeaderSize;
   return view;
-}
-
-void encode_chunked(const Graph& g, Ref type, const Value& v, size_t max_piece,
-                    const std::function<void(std::vector<uint8_t>&&, bool last)>& emit) {
-  if (max_piece == 0) throw WireError("chunk piece size must be positive");
-  std::vector<uint8_t> buf;
-  ChunkCtl ctl{max_piece, &buf, &emit};
-  Sink sink(buf);
-  encode_node(g, type, v, sink, 0, &ctl);
-  ctl.maybe_flush();
-  emit(std::move(buf), true);
 }
 
 // ---- dynamic type -----------------------------------------------------------

@@ -37,24 +37,22 @@
 // the high bit of the kind byte marks its presence, and 17 extension
 // bytes (trace id u64 | parent span id u64 | flags u8, bit 0 = sampled)
 // sit between the fixed header and the payload. payload len still counts
-// payload bytes only, and every fixed header field keeps its offset, so
-// readers that peek at the origin field (reactor peer identification)
-// are unaffected. Retransmits resend the packed bytes, preserving the
+// payload bytes only. Retransmits resend the packed bytes, preserving the
 // extension verbatim.
 //
-// CHUNK frames segment one logical DATA message into bounded pieces so a
-// multi-megabyte payload never serializes into one giant frame. A chunk's
+// CHUNK frames carry one encoded message in bounded pieces, so no single
+// frame of a multi-megabyte payload exceeds the sender's frame bound. The
+// sender encodes the message once and splits the encoded bytes; a chunk's
 // payload starts with a 9-byte sub-header (message id, piece index, flags)
-// followed by that piece's bytes; the receiver reassembles pieces of a
+// followed by that piece's bytes. The receiver reassembles pieces of a
 // message id in index order and delivers the concatenation exactly as if a
 // single DATA frame had arrived. Chunks are sequenced exactly when DATA
 // is: on a sequenced channel loss and reordering are handled below
 // reassembly, and on a stream link pieces arrive in order anyway. A message
-// that fits one piece is sent as plain DATA.
+// that fits one frame is sent as plain DATA.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -151,12 +149,13 @@ size_t pack_header(const FrameHeader& h, size_t payload_len, uint8_t* out);
 /// view_frame plus a copy of the payload.
 [[nodiscard]] Frame unpack_frame(const std::vector<uint8_t>& bytes);
 
-// ---- chunked (streaming) messages -------------------------------------------
+// ---- CHUNK frames -----------------------------------------------------------
 
 /// Final piece of its message: reassembly completes and delivers.
 inline constexpr uint8_t kChunkFlagLast = 0x01;
-/// The sender faulted mid-stream (marshal threw after pieces were already
-/// on the wire); the receiver discards the partial reassembly.
+/// The sender abandons the stream: the receiver discards the partial
+/// reassembly. This node never sends it, since it splits messages that are
+/// already fully encoded, but a peer may.
 inline constexpr uint8_t kChunkFlagAbort = 0x02;
 
 /// Sub-header at the front of every Chunk frame payload:
@@ -185,18 +184,6 @@ struct ChunkView {
 /// sub-header + piece bytes. Throws WireError when the payload is shorter
 /// than the sub-header.
 [[nodiscard]] ChunkView parse_chunk(const uint8_t* payload, size_t len);
-
-/// Encode `v` delivering the byte stream as bounded pieces: every piece
-/// passed to `emit` is exactly `max_piece` bytes except the final one,
-/// which carries the tail (possibly empty) and last=true. The
-/// concatenation of all pieces is byte-identical to encode(). Peak
-/// buffering inside the encoder is O(max_piece): segmentation happens at
-/// sequence-element and record-field boundaries as the recursion descends,
-/// never by staging the whole message. If encoding throws after pieces
-/// were emitted, the caller must abort the stream (kChunkFlagAbort).
-void encode_chunked(const mtype::Graph& g, mtype::Ref type,
-                    const runtime::Value& v, size_t max_piece,
-                    const std::function<void(std::vector<uint8_t>&&, bool last)>& emit);
 
 // ---- the dynamic type (paper §6: "a dynamic type construct of our own
 // which is similar to [CORBA] Any") ------------------------------------------

@@ -1,6 +1,7 @@
 // The epoll reactor: many real-socket clients against one Node, peer
 // identification from the first frame, reconnect supersession, chunked
-// traffic, and backpressure stall/resume.
+// traffic, backpressure stall/resume, and hostile input the server must
+// count and survive.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -125,6 +126,99 @@ TEST(Reactor, ForgedListLengthIsCountedAndServingContinues) {
   EXPECT_EQ(server.stats().decode_faults, 1u);
 }
 
+TEST(Reactor, ThrowingHandlersAreCountedAndReturnTheirBuffers) {
+  // Two echo requests whose handlers throw: one names a reply port on a
+  // node the server has no link to, the other names the echo port itself,
+  // so its reply arrives back as a malformed request. Each is one counted
+  // fault. 4097 more of the first kind must leave no send buffer checked
+  // out, or the node-wide stall would latch and starve every client.
+  Graph g;
+  Ref blob = g.record({g.list_of(g.character(stype::Repertoire::Latin1))},
+                      {"payload"});
+  Ref invocation = g.record({blob, g.port(blob)}, {"args", "reply"});
+  Node server(1);
+  Reactor reactor(server);
+  reactor.listen(test_addr("handlerfault"));
+  uint64_t echo = serve_function(server, g, invocation,
+                                 [](const Value& args) { return args; });
+
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* hostile = dial_client(owned, 2, reactor, reactor.listen_address());
+  const Value args = Value::record({Value::string("x")});
+  auto request = [&](uint64_t reply_port) {
+    hostile->send(echo, g, invocation,
+                  Value::record({args, Value::port(reply_port)}));
+  };
+  const uint64_t unreachable = (uint64_t{999} << 48) | 1;
+  request(unreachable);
+  request(echo);
+  ASSERT_TRUE(drive(reactor, {hostile},
+                    [&] { return server.stats().decode_faults == 2; }));
+  constexpr uint64_t kMore = 4097;
+  for (uint64_t i = 0; i < kMore; ++i) request(unreachable);
+  ASSERT_TRUE(drive(reactor, {hostile}, [&] {
+    return server.stats().decode_faults == 2 + kMore;
+  }));
+  EXPECT_EQ(server.buffer_pool().outstanding(), 0u);
+  EXPECT_FALSE(reactor.stalled());
+
+  Node* caller = dial_client(owned, 3, reactor, reactor.listen_address());
+  for (const char* text : {"first", "second"}) {
+    std::optional<Value> reply;
+    uint64_t rp = caller->open_port(
+        &g, blob, [&](const Value& v) { reply = v; }, true);
+    const Value sent = Value::record({Value::string(text)});
+    caller->send(echo, g, invocation, Value::record({sent, Value::port(rp)}));
+    ASSERT_TRUE(drive(reactor, {caller}, [&] { return reply.has_value(); }))
+        << text;
+    EXPECT_EQ(*reply, sent);
+  }
+  EXPECT_EQ(server.stats().decode_faults, 2 + kMore);
+}
+
+TEST(Reactor, JunkFirstFrameCannotClaimALivePeersId) {
+  // A new connection's first frame is 40 bytes of junk whose bytes 7-8
+  // read as node id 2, a live client's. It is no frame, so the connection
+  // is dropped and the live client keeps its channel.
+  Fn fn = make_fn();
+  Node server(1);
+  Reactor reactor(server);
+  reactor.listen(test_addr("junk"));
+  uint64_t fn_port = serve_function(
+      server, fn.g, fn.invocation, [](const Value& args) {
+        return Value::record(
+            {Value::real(static_cast<double>(args.at(0).as_int()))});
+      });
+  std::vector<std::unique_ptr<Node>> owned;
+  Node* client = dial_client(owned, 2, reactor, reactor.listen_address());
+  auto call = [&](int x) {
+    std::optional<Value> reply;
+    uint64_t rp = client->open_port(
+        &fn.g, fn.out, [&](const Value& v) { reply = v; }, true);
+    client->send(fn_port, fn.g, fn.invocation,
+                 Value::record({Value::record({Value::integer(x)}),
+                                Value::port(rp)}));
+    EXPECT_TRUE(drive(reactor, {client}, [&] { return reply.has_value(); }))
+        << "call " << x;
+    return reply;
+  };
+  ASSERT_TRUE(call(1).has_value());
+
+  transport::SocketPeer junk(transport::dial_fd(reactor.listen_address()));
+  std::vector<uint8_t> bytes(40, 0xee);
+  bytes[7] = 0x00;
+  bytes[8] = 0x02;
+  junk.send(bytes, {});
+  ASSERT_EQ(junk.held_bytes(), 0u);
+  // The server hangs up on the junk connection.
+  ASSERT_TRUE(drive(reactor, {client}, [&] { return !junk.on_readable(); }));
+
+  auto reply = call(2);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply, Value::record({Value::real(2)}));
+  EXPECT_EQ(reactor.peer_count(), 1u);
+}
+
 TEST(Reactor, ManyConcurrentClientsOverTcp) {
   Fn fn = make_fn();
   Node server(1);
@@ -231,7 +325,7 @@ TEST(Reactor, ChunkedMessageThroughReactor) {
     elems.push_back(Value::integer(static_cast<uint8_t>(i * 11)));
   }
   Value v = Value::list(std::move(elems));
-  client.send_streaming(p, g, bytes, v);
+  client.send(p, g, bytes, v);
 
   ASSERT_TRUE(drive(reactor, {&client}, [&] { return !got.empty(); }));
   EXPECT_EQ(got[0], v);

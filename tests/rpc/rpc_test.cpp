@@ -66,6 +66,7 @@ TEST(Node, SendWithoutLinkThrows) {
   EXPECT_THROW(
       a.send((static_cast<uint64_t>(9) << 48) | 1, g, g.unit(), Value::unit()),
       TransportError);
+  EXPECT_EQ(a.buffer_pool().outstanding(), 0u);  // the payload went back
 }
 
 TEST(Node, DuplicateFramesSuppressed) {
@@ -449,6 +450,7 @@ TEST(NativeStub, LocalPortDecodesAgainstRegisteredType) {
   heap.write_f32(base + 4, 0.25f);
 
   stub.send(p, heap, base);
+  EXPECT_EQ(n.buffer_pool().outstanding(), 0u);  // decoded, then returned
   n.poll();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Value::record({Value::integer(9), Value::integer(512),

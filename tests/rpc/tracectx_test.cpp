@@ -201,7 +201,7 @@ TEST(TraceCtx, PropagatesAcrossLossyReorderingLink) {
   {
     obs::ContextGuard guard(ctx);
     a.send(p, g, bytes, byte_list(10));            // one DATA frame
-    a.send_streaming(p, g, bytes, byte_list(900, 3));  // many CHUNK frames
+    a.send(p, g, bytes, byte_list(900, 3));  // many CHUNK frames
   }
   pump({&a, &b});
 

@@ -376,12 +376,6 @@ TEST(ThreadedFlatten, SharedNativeSequencesStayLinear) {
   uint64_t base = heap.alloc(1, 8);
   heap.write_uint(base, 1, 7);
   EXPECT_EQ(te.marshal_native(heap, base), std::vector<uint8_t>(n, 7));
-  std::vector<uint8_t> cat;
-  te.marshal_native_chunked(heap, base, 4096,
-                            [&](std::vector<uint8_t>&& piece, bool) {
-                              cat.insert(cat.end(), piece.begin(), piece.end());
-                            });
-  EXPECT_EQ(cat, std::vector<uint8_t>(n, 7));
   // The read-time check still runs once, before any byte is emitted.
   heap.write_uint(base, 1, 201);
   EXPECT_THROW((void)te.marshal_native(heap, base), ConversionError);
