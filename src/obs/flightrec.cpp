@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/strings.hpp"
+
 namespace mbird::obs {
 
 namespace {
@@ -21,24 +23,6 @@ thread_local std::vector<TlRing> tl_rings;
 uint64_t next_recorder_id() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void json_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -152,7 +136,7 @@ void FlightRecorder::write_chrome_json(std::ostream& os,
     os << (first ? "\n" : ",\n");
     first = false;
     os << "{\"name\":";
-    json_escaped(os, ev.name);
+    write_json_string(os, ev.name);
     char buf[320];
     std::snprintf(
         buf, sizeof buf,
@@ -168,7 +152,7 @@ void FlightRecorder::write_chrome_json(std::ostream& os,
   }
   os << (first ? "" : "\n") << "],\"displayTimeUnit\":\"ms\","
      << "\"flightRecorder\":{\"reason\":";
-  json_escaped(os, reason);
+  write_json_string(os, reason);
   os << ",\"events\":" << all.size()
      << ",\"recorded\":" << total_recorded() << "}}\n";
 }

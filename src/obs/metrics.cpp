@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+
+#include "support/strings.hpp"
 
 namespace mbird::obs {
 
@@ -149,29 +150,6 @@ Registry::Snapshot Registry::Snapshot::delta_since(const Snapshot& base) const {
 }
 
 namespace {
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 struct Pad {
   int n;
 };

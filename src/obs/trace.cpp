@@ -10,6 +10,7 @@
 
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
+#include "support/strings.hpp"
 
 namespace mbird::obs {
 
@@ -51,29 +52,6 @@ thread_local std::vector<TlEntry> tl_bufs;
 uint64_t next_tracer_id() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void write_json_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 std::string ns_human(uint64_t ns) {
@@ -214,7 +192,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     os << (first ? "\n" : ",\n");
     first = false;
     os << "{\"name\":";
-    write_json_escaped(os, ev.name);
+    write_json_string(os, ev.name);
     os << ",\"cat\":\"mbird\",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev.tid
        << ",\"ts\":" << std::fixed << std::setprecision(3)
        << static_cast<double>(ev.t0_ns) / 1e3
@@ -225,9 +203,9 @@ void Tracer::write_chrome_json(std::ostream& os) const {
       for (const Note& n : ev.notes) {
         if (!afirst) os << ",";
         afirst = false;
-        write_json_escaped(os, n.key);
+        write_json_string(os, n.key);
         os << ":";
-        write_json_escaped(os, n.val);
+        write_json_string(os, n.val);
       }
       if (ev.trace_id != 0) {
         char ids[160];

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -21,6 +20,7 @@
 #include "rpc/rpc.hpp"
 #include "service/service.hpp"
 #include "store/cachestore.hpp"
+#include "support/strings.hpp"
 #include "transport/link.hpp"
 #include "transport/socket.hpp"
 
@@ -57,26 +57,6 @@ struct TelemetryReply {
   string json;
 };
 )";
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 /// The compile handler both serve modes register: decode the request pair,
 /// run it through the service core, encode the reply record.
@@ -212,9 +192,9 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
                                  {&client, &server});
     } catch (const std::exception& e) {
       bad.add();
-      out << "{\"line\": " << lineno << ", \"error\": \"";
-      json_escape(out, e.what());
-      out << "\"}\n";
+      out << "{\"line\": " << lineno << ", \"error\": ";
+      write_json_string(out, e.what());
+      out << "}\n";
       continue;
     }
     const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -230,16 +210,16 @@ int run_serve(std::vector<stype::Module>& modules, std::istream& requests,
     const auto verdict = static_cast<compare::Verdict>(
         static_cast<int64_t>(reply.at(0).as_int()));
     const std::string remote_err = string_of(reply.at(5));
-    out << "{\"left\": \"";
-    json_escape(out, a);
-    out << "\", \"right\": \"";
-    json_escape(out, b);
-    out << "\", ";
+    out << "{\"left\": ";
+    write_json_string(out, a);
+    out << ", \"right\": ";
+    write_json_string(out, b);
+    out << ", ";
     if (!remote_err.empty()) {
       ++reply_errors;
-      out << "\"error\": \"";
-      json_escape(out, remote_err);
-      out << "\"}\n";
+      out << "\"error\": ";
+      write_json_string(out, remote_err);
+      out << "}\n";
       continue;
     }
     const bool memo = reply.at(2).as_int() != 0;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <ostream>
 
 namespace mbird {
 
@@ -97,6 +98,29 @@ std::string unescape_c(std::string_view s) {
     }
   }
   return out;
+}
+
+void write_json_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
 std::string capitalize(std::string_view s) {

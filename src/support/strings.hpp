@@ -1,6 +1,7 @@
 // Small string utilities shared by lexers, printers, and code generators.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,6 +20,10 @@ namespace mbird {
 [[nodiscard]] std::string escape_c(std::string_view s);
 /// Inverse of escape_c for the escapes it produces.
 [[nodiscard]] std::string unescape_c(std::string_view s);
+
+/// Write `s` as a JSON string literal, quotes included: `"` and `\`
+/// backslashed, \n \t \r by name, other control characters as \u00XX.
+void write_json_string(std::ostream& os, std::string_view s);
 
 /// "point" -> "Point"; used by code generators for identifier styling.
 [[nodiscard]] std::string capitalize(std::string_view s);

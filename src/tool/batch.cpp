@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <memory>
@@ -18,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/cachestore.hpp"
+#include "support/strings.hpp"
 #include "support/threadpool.hpp"
 
 namespace mbird::tool {
@@ -36,25 +36,6 @@ struct PairResult {
   int64_t micros = 0;
   std::string error;  // non-empty: the pair failed with an exception
 };
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 // Peak resident set of this process in KB (0 where unsupported). The
 // batch report and the streaming tests use it to pin the memory-bounded
@@ -90,15 +71,14 @@ class ReportWriter {
   void pair(const Pair& p, const PairResult& r) {
     if (!first_) os_ << ",\n";
     first_ = false;
-    os_ << "    {\"left\": \"";
-    json_escape(os_, p.left_spec);
-    os_ << "\", \"right\": \"";
-    json_escape(os_, p.right_spec);
-    os_ << "\", ";
+    os_ << "    {\"left\": ";
+    write_json_string(os_, p.left_spec);
+    os_ << ", \"right\": ";
+    write_json_string(os_, p.right_spec);
+    os_ << ", ";
     if (!r.error.empty()) {
-      os_ << "\"error\": \"";
-      json_escape(os_, r.error);
-      os_ << "\"";
+      os_ << "\"error\": ";
+      write_json_string(os_, r.error);
     } else {
       os_ << "\"verdict\": \"" << compare::to_string(r.outcome.verdict)
           << "\", \"steps\": " << r.outcome.steps
@@ -365,9 +345,9 @@ int run_batch(std::vector<stype::Module>& modules, std::istream& manifest,
      << "    \"peak_rss_kb\": " << rss_kb << ",\n";
   if (stream_error_code != 0) {
     js << "    \"manifest_error\": {\"line\": " << stream_error_line
-       << ", \"message\": \"";
-    json_escape(js, stream_error_msg);
-    js << "\"},\n";
+       << ", \"message\": ";
+    write_json_string(js, stream_error_msg);
+    js << "},\n";
   }
   js << "    \"cache\": {\"hits\": " << st.hits << ", \"misses\": " << st.misses
      << ", \"inserts\": " << st.inserts << ", \"entries\": " << st.entries

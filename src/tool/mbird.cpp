@@ -37,36 +37,16 @@ using stype::Lang;
 using stype::Module;
 using stype::Stype;
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 // One diagnostic as a structured JSON line (--diag-format=json): tools
 // consuming mbird's stderr get machine-parseable records instead of the
 // "file:line:col: severity: message" text form.
 void write_diag_json(std::ostream& os, const Diagnostic& d) {
-  os << "{\"severity\": \"" << to_string(d.severity) << "\", \"file\": \"";
-  json_escape(os, d.loc.file);
-  os << "\", \"line\": " << d.loc.line << ", \"col\": " << d.loc.col
-     << ", \"message\": \"";
-  json_escape(os, d.message);
-  os << "\"}\n";
+  os << "{\"severity\": \"" << to_string(d.severity) << "\", \"file\": ";
+  write_json_string(os, d.loc.file);
+  os << ", \"line\": " << d.loc.line << ", \"col\": " << d.loc.col
+     << ", \"message\": ";
+  write_json_string(os, d.message);
+  os << "}\n";
 }
 
 DiagnosticEngine::Sink make_diag_sink(std::ostream& e, bool json) {
@@ -481,18 +461,15 @@ int run_stitch(const std::vector<std::string>& paths,
     sep();
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << fi + 1
        << ",\"args\":{\"name\":";
-    os << '"';
-    json_escape(os, files[fi].path);
-    os << '"' << "}}";
+    write_json_string(os, files[fi].path);
+    os << "}}";
   }
   for (size_t fi = 0; fi < files.size(); ++fi) {
     for (const TraceEvent& ev : files[fi].events) {
       if (ev.ph != "X") continue;
       sep();
       os << "{\"name\":";
-      os << '"';
-      json_escape(os, ev.name);
-      os << '"';
+      write_json_string(os, ev.name);
       os << ",\"cat\":\"mbird\",\"ph\":\"X\",\"pid\":" << fi + 1
          << ",\"tid\":" << ev.tid;
       std::snprintf(num, sizeof num, "%.3f", ev.ts + files[fi].offset_us);
@@ -505,11 +482,9 @@ int run_stitch(const std::vector<std::string>& paths,
         for (const auto& [k, v] : ev.args) {
           if (!afirst) os << ",";
           afirst = false;
-          os << '"';
-          json_escape(os, k);
-          os << "\":\"";
-          json_escape(os, v);
-          os << '"';
+          write_json_string(os, k);
+          os << ":";
+          write_json_string(os, v);
         }
         os << "}";
       }

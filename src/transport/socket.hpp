@@ -159,9 +159,11 @@ class ListenSocket {
 
 /// Decorate a link with fault injection on both directions: each frame
 /// sent, and each frame received, is independently dropped with
-/// `faults.drop_probability` (duplicate/reorder apply on send only). The
-/// reliability sublayer sees real loss over a real socket — the lossy-link
-/// load harness uses this to exercise retransmission under traffic.
+/// `faults.drop_probability`, and each frame sent is duplicated with
+/// `faults.duplicate_probability`. It never reorders frames, whatever
+/// `faults.reorder_probability` says. The reliability sublayer sees real
+/// loss over a real socket — the lossy-link load harness uses this to
+/// exercise retransmission under traffic.
 [[nodiscard]] std::unique_ptr<Link> make_lossy(std::unique_ptr<Link> inner,
                                                const FaultOptions& faults);
 

@@ -50,11 +50,11 @@ class BufferPool {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Buffers currently checked out (acquired and not yet released). The
-  /// reliability layer holds one per unacked/backlogged frame, so this is
-  /// the send-side occupancy signal the reactor's backpressure threshold
-  /// watches. The pool adopts foreign vectors on release, so the count is
-  /// clamped at zero rather than trusted to balance exactly.
+  /// Buffers currently checked out (acquired and not yet released): one per
+  /// unacked or backlogged frame of a sequenced channel and per open chunk
+  /// stream, so tests read it as a leak probe. The pool adopts foreign
+  /// vectors on release, so the count is clamped at zero rather than
+  /// trusted to balance exactly.
   [[nodiscard]] size_t outstanding() const {
     std::lock_guard<std::mutex> lock(mu_);
     return acquired_ >= released_ ? static_cast<size_t>(acquired_ - released_)

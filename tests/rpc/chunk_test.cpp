@@ -314,6 +314,47 @@ TEST(Chunking, ReassemblyBudgetCoversAllOfAPeersStreams) {
   EXPECT_EQ(b.stats().chunks_received, 1600u);
 }
 
+TEST(Chunking, OpenStreamCountIsCappedPerPeer) {
+  // One peer opens twice reassembly_limit / max_frame_payload streams (1024
+  // by default) of one byte each and never finishes them. The byte budget
+  // alone would admit them all; the stream cap keeps that peer's open
+  // streams at 1024 and drops the rest as chunk aborts. Another peer's
+  // chunked message still delivers.
+  const ReliabilityOptions ro;
+  const size_t cap = ro.reassembly_limit / ro.max_frame_payload;
+  ASSERT_EQ(cap, 1024u);
+  Node b(2), c(3);
+  auto [la, lb] = transport::make_inproc_pair();
+  b.connect(1, std::move(lb));
+  auto [lc, lb3] = transport::make_inproc_pair();
+  c.connect(2, std::move(lc));
+  b.connect(3, std::move(lb3));
+  Graph g;
+  Ref bytes = g.list_of(g.integer(0, 255));
+  std::vector<Value> got;
+  uint64_t p = b.open_port(&g, bytes, [&](const Value& x) { got.push_back(x); });
+
+  const std::vector<uint8_t> one{0x5a};
+  size_t peak = 0;
+  for (uint32_t stream = 1; stream <= 2 * cap; ++stream) {
+    send_piece(*la, p, stream, 0, 0, one, 0, 1);
+    b.poll();
+    peak = std::max(peak, b.reassembly_bytes());  // one byte per open stream
+  }
+  EXPECT_EQ(peak, cap);
+  EXPECT_EQ(b.stats().chunk_aborts, cap);
+  EXPECT_EQ(b.stats().chunks_received, 2 * cap);
+  EXPECT_TRUE(got.empty());
+
+  const Value v = byte_list(100000, 7);
+  c.send(p, g, bytes, v);
+  pump({&b, &c});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], v);
+  EXPECT_EQ(c.stats().messages_chunked, 1u);
+  EXPECT_EQ(b.reassembly_bytes(), cap);
+}
+
 // ---- large messages ---------------------------------------------------------
 
 /// ~4 MiB on the wire: 2^20 list elements, 4 encoded bytes each.

@@ -157,12 +157,9 @@ TEST(Call, LossyLinkWithRetries) {
   uint64_t fn = serve_function(server, g, invocation, [](const Value& args) {
     return Value::record({Value::real(1.0 * static_cast<double>(args.at(0).as_int()))});
   });
-  CallOptions opts;
-  opts.resend_every = 3;
-  opts.max_rounds = 100000;
   Value reply = call_function(client, fn, g, invocation,
                               Value::record({Value::integer(9)}),
-                              {&client, &server}, opts);
+                              {&client, &server});
   EXPECT_EQ(reply, Value::record({Value::real(9)}));
 }
 
@@ -455,6 +452,36 @@ TEST(NativeStub, LocalPortDecodesAgainstRegisteredType) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Value::record({Value::integer(9), Value::integer(512),
                                    Value::real(0.25)}));
+}
+
+TEST(NativeStub, ImageOutOfRangeThrowsAndReturnsItsBuffer) {
+  // `count` is annotated to stay within [0, 1000] and the image holds
+  // 40000. The read-time check fails: the send throws, delivers nothing,
+  // and its pool buffer goes back.
+  Graph g;
+  Ref msg = g.record({g.integer(0, 255), g.integer(0, 65535), g.real(24, 8)},
+                     {"tag", "count", "ratio"});
+  auto full = compare::compare_full(g, msg, g, msg);
+  ASSERT_EQ(full.verdict, compare::Verdict::Equivalent);
+  runtime::ImageLayout il = *tagged_layout();
+  il.nodes[2].has_hi = true;
+  il.nodes[2].hi = 1000;
+
+  Node n(1);
+  int hits = 0;
+  uint64_t p = n.open_port(&g, msg, [&](const Value&) { ++hits; });
+  NativeStub stub(n, full.to_right.plan, full.to_right.root, g, msg,
+                  std::make_shared<const runtime::ImageLayout>(std::move(il)));
+  runtime::NativeHeap heap;
+  uint64_t base = heap.alloc(8, 4);
+  heap.write_uint(base + 0, 1, 9);
+  heap.write_uint(base + 2, 2, 40000);
+  heap.write_f32(base + 4, 0.25f);
+
+  EXPECT_THROW(stub.send(p, heap, base), ConversionError);
+  EXPECT_EQ(n.buffer_pool().outstanding(), 0u);
+  n.poll();
+  EXPECT_EQ(hits, 0);
 }
 
 TEST(NativeStub, BothTiersMatchOracleWire) {

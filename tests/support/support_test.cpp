@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "support/diag.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
@@ -85,6 +87,12 @@ TEST(Strings, EscapeRoundtrip) {
   std::string s = "a\"b\\c\nd\te\x01";
   EXPECT_EQ(unescape_c(escape_c(s)), s);
   EXPECT_EQ(escape_c("\n"), "\\n");
+}
+
+TEST(Strings, JsonStringSpellsControlCharacters) {
+  std::ostringstream os;
+  write_json_string(os, "a\"b\\c\n\t\r\x01\x1f\x7f");
+  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\n\\t\\r\\u0001\\u001f\x7f\"");
 }
 
 TEST(Strings, SanitizeIdentifier) {
