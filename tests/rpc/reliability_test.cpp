@@ -425,5 +425,78 @@ TEST(Reliability, ExplicitAcksQuenchRetransmissionsOneWay) {
   EXPECT_EQ(p.client.stats().retransmits, 0u);
 }
 
+/// Forwards to an inner link but reports `*held` unsent bytes, standing in
+/// for a socket whose send buffer is full.
+class HoldingLink : public transport::Link {
+ public:
+  HoldingLink(std::unique_ptr<transport::Link> inner, const size_t* held)
+      : inner_(std::move(inner)), held_(held) {}
+  void send(std::span<const uint8_t> head,
+            std::span<const uint8_t> body) override {
+    inner_->send(head, body);
+  }
+  std::optional<std::vector<uint8_t>> poll() override { return inner_->poll(); }
+  bool reliable() const override { return inner_->reliable(); }
+  size_t held_bytes() const override { return *held_; }
+
+ private:
+  std::unique_ptr<transport::Link> inner_;
+  const size_t* held_;
+};
+
+TEST(Reliability, DueFramesWaitWhileTheLinkHoldsUnsentBytes) {
+  // Every frame is dropped, so the one sent is due again after two ticks.
+  // While the link reports unsent bytes the original has not left, and a
+  // copy would only queue behind it: nothing is re-sent and nothing
+  // expires. Once the link drains, retransmission and expiry resume.
+  Graph g;
+  Ref msg = g.unit();
+  transport::FaultOptions f;
+  f.drop_probability = 1.0;
+  auto [lc, ls] = transport::make_inproc_pair(f);
+  size_t held = 1;
+  Node client(1), server(2);
+  client.connect(2, std::make_unique<HoldingLink>(std::move(lc), &held));
+  server.connect(1, std::move(ls));
+  uint64_t port = server.open_port(&g, msg, [](const Value&) {});
+  client.send(port, g, msg, Value::unit());
+  for (int i = 0; i < 1000; ++i) client.poll();
+  EXPECT_EQ(client.stats().retransmits, 0u);
+  EXPECT_EQ(client.stats().frames_expired, 0u);
+  EXPECT_EQ(client.send_queue_depth(2), 1u);
+
+  held = 0;
+  for (int i = 0; i < 1000 && client.has_pending(); ++i) client.poll();
+  EXPECT_EQ(client.stats().retransmits,
+            ReliabilityOptions{}.max_retries);
+  EXPECT_EQ(client.stats().frames_expired, 1u);
+  EXPECT_FALSE(client.has_pending());
+}
+
+/// An unreliable link whose every send throws, as a closed socket's does.
+class ClosedLink : public transport::Link {
+ public:
+  void send(std::span<const uint8_t>, std::span<const uint8_t>) override {
+    throw TransportError("link closed");
+  }
+  std::optional<std::vector<uint8_t>> poll() override { return std::nullopt; }
+  bool reliable() const override { return false; }
+  size_t held_bytes() const override { return 0; }
+};
+
+TEST(Reliability, SendThatThrowsLeavesNothingQueued) {
+  // The frame whose transmission threw was never queued, so the node must
+  // not count it as held or pending afterwards.
+  Graph g;
+  Ref msg = g.unit();
+  Node client(1);
+  client.connect(2, std::make_unique<ClosedLink>());
+  EXPECT_THROW(client.send((uint64_t{2} << 48) | 1, g, msg, Value::unit()),
+               TransportError);
+  EXPECT_EQ(client.held_bytes(2), 0u);
+  EXPECT_FALSE(client.has_pending());
+  EXPECT_FALSE(client.needs_tick());
+}
+
 }  // namespace
 }  // namespace mbird::rpc
