@@ -58,6 +58,19 @@ std::vector<ParamInfo> analyze(const Module& module, Stype* fn) {
   return infos;
 }
 
+/// Releases what a call allocated in the native heap, however the call ends.
+class ReleaseToMark {
+ public:
+  explicit ReleaseToMark(NativeHeap& heap) : heap_(heap), mark_(heap.size()) {}
+  ~ReleaseToMark() { heap_.release_to(mark_); }
+  ReleaseToMark(const ReleaseToMark&) = delete;
+  ReleaseToMark& operator=(const ReleaseToMark&) = delete;
+
+ private:
+  NativeHeap& heap_;
+  uint64_t mark_;
+};
+
 uint64_t float_bits(double d, bool is_f32) {
   if (is_f32) {
     float f = static_cast<float>(d);
@@ -78,11 +91,22 @@ std::function<Value(const Value&)> wrap_c_function(const Module& module,
   if (fn == nullptr || fn->kind != Kind::Function) {
     throw MbError("wrap_c_function: not a function declaration");
   }
-  return [&module, fn, &heap, impl = std::move(impl)](const Value& args) {
-    runtime::LayoutEngine layout(module);
+  // Read once, when the function is wrapped: its parameters' annotations,
+  // directions and absorbed lengths, and its return type.
+  Stype* ret_resolved = fn->ret;
+  if (ret_resolved != nullptr &&
+      (ret_resolved->kind == Kind::Named || ret_resolved->kind == Kind::Typedef)) {
+    ret_resolved = module.resolve(ret_resolved);
+  }
+  const bool has_return = ret_resolved != nullptr &&
+                          !(ret_resolved->kind == Kind::Prim &&
+                            ret_resolved->prim == Prim::Void);
+  return [&module, fn, &heap, layout = runtime::LayoutEngine(module),
+          infos = analyze(module, fn), ret_resolved, has_return,
+          impl = std::move(impl)](const Value& args) {
+    const ReleaseToMark release(heap);
     CWriter writer(layout, heap);
     CReader reader(layout, heap);
-    auto infos = analyze(module, fn);
 
     std::vector<uint64_t> slots(fn->params.size(), 0);
     LengthEnv env;
@@ -96,7 +120,7 @@ std::function<Value(const Value&)> wrap_c_function(const Module& module,
 
     // Inputs and out-buffers, in declaration order.
     for (size_t i = 0; i < infos.size(); ++i) {
-      ParamInfo& pi = infos[i];
+      const ParamInfo& pi = infos[i];
       if (pi.absorbed) continue;  // filled after lists are written
 
       if (pi.dir == Direction::Out) {
@@ -137,8 +161,7 @@ std::function<Value(const Value&)> wrap_c_function(const Module& module,
            pi.resolved->kind == Kind::Array)) {
         // write_pointer needs a slot-sized home for the pointer itself.
         uint64_t cell = heap.alloc(8, 8);
-        Annotations use = pi.eff;
-        writer.write(pi.resolved, use, v, cell, &env);
+        writer.write(pi.resolved, pi.eff, v, cell, &env);
         slots[i] = heap.read_ptr(cell);
         if (pi.dir == Direction::InOut) {
           outs.push_back({i, slots[i], pi.resolved->elem});
@@ -161,16 +184,6 @@ std::function<Value(const Value&)> wrap_c_function(const Module& module,
     }
 
     // Return buffer.
-    bool has_return = false;
-    Stype* ret_resolved = fn->ret;
-    if (ret_resolved != nullptr) {
-      if (ret_resolved->kind == Kind::Named || ret_resolved->kind == Kind::Typedef) {
-        ret_resolved = module.resolve(ret_resolved);
-      }
-      has_return = ret_resolved != nullptr &&
-                   !(ret_resolved->kind == Kind::Prim &&
-                     ret_resolved->prim == Prim::Void);
-    }
     uint64_t ret_addr = 0;
     if (has_return) {
       runtime::Layout rl = layout.layout_of(ret_resolved);

@@ -31,8 +31,12 @@ using NativeImpl =
 
 /// Wrap `fn` (a Kind::Function declaration in `module`) around `impl`.
 /// The returned handler accepts the function's input record (as lowered by
-/// lower_signature) and returns its output record. The heap and module
-/// must outlive the handler.
+/// lower_signature) and returns its output record. The declaration is read
+/// here, when the function is wrapped, so annotations changed afterwards do
+/// not reach the handler. Everything a call allocates in `heap` (argument
+/// buffers, out-buffers, and what `impl` itself allocates) is released
+/// once the reply has been read, or when the call throws. The heap and
+/// module must outlive the handler.
 [[nodiscard]] std::function<runtime::Value(const runtime::Value&)>
 wrap_c_function(const stype::Module& module, stype::Stype* fn,
                 runtime::NativeHeap& heap, NativeImpl impl);

@@ -71,9 +71,9 @@ void Node::transmit(PeerState& ps, PeerState::Pending& p) {
   ps.link->send(p.bytes, {});
 }
 
-void Node::send(uint64_t dest_port, const Graph& g, Ref msg_type, const Value& v) {
+void Node::send(uint64_t dest_port, const Graph& g, Ref msg_type, Value v) {
   if (is_local(dest_port)) {
-    local_queue_.emplace_back(dest_port, v);
+    local_queue_.emplace_back(dest_port, std::move(v));
     return;
   }
   std::vector<uint8_t> payload = pool_.acquire();
@@ -645,8 +645,7 @@ uint64_t serve_function(Node& node, const Graph& g, Ref invocation_type,
       [&node, &g, out_type, impl = std::move(impl)](const Value& inv) {
         const Value& args = inv.at(0);
         uint64_t reply_port = inv.at(1).as_port();
-        Value out = impl(args);
-        node.send(reply_port, g, out_type, out);
+        node.send(reply_port, g, out_type, impl(args));
       });
 }
 
@@ -682,8 +681,7 @@ uint64_t serve_object(Node& node, const Graph& g, Ref choice_type,
         const Value& inv = msg.inner();
         const Value& args = inv.at(0);
         uint64_t reply_port = inv.at(1).as_port();
-        Value out = methods.at(arm)(args);
-        node.send(reply_port, g, out_types.at(arm), out);
+        node.send(reply_port, g, out_types.at(arm), methods.at(arm)(args));
       });
 }
 
@@ -705,9 +703,14 @@ Value await_call(Node& client, uint64_t dest, const Graph& g, Ref msg_type,
   std::optional<Value> reply;
   uint64_t reply_port = client.open_port(
       &g, out_type, [&reply](const Value& v) { reply = v; }, /*once=*/true);
-  Value invocation = Value::record({args, Value::port(reply_port)});
+  // Built in place: an initializer list would copy `args` twice.
+  std::vector<Value> parts;
+  parts.reserve(2);
+  parts.push_back(args);
+  parts.push_back(Value::port(reply_port));
+  Value invocation = Value::record(std::move(parts));
   if (arm) invocation = Value::choice(*arm, std::move(invocation));
-  client.send(dest, g, msg_type, invocation);
+  client.send(dest, g, msg_type, std::move(invocation));
 
   size_t quiet = 0;
   for (size_t round = 0; round < options.max_rounds; ++round) {
@@ -719,7 +722,7 @@ Value await_call(Node& client, uint64_t dest, const Graph& g, Ref msg_type,
         span.note("rounds", static_cast<uint64_t>(round + 1));
         span.note("retransmits", client.stats().retransmits - retrans0);
       }
-      return *reply;
+      return std::move(*reply);
     }
     bool pending = false;
     for (Node* n : nodes) pending = pending || n->has_pending();

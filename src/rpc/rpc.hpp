@@ -162,9 +162,11 @@ class Node {
     return node_of(port) == id_;
   }
 
-  /// Send `v` (shaped like msg_type in g) to a port, local or remote.
+  /// Send `v` (shaped like msg_type in g) to a port, local or remote. A
+  /// local port's queue takes `v` itself, so a caller that moves its value
+  /// in copies nothing; a remote port's message is encoded from it.
   void send(uint64_t dest_port, const mtype::Graph& g, mtype::Ref msg_type,
-            const Value& v);
+            Value v);
 
   /// Send pre-encoded wire bytes (e.g. from ThreadedEngine::marshal) to a
   /// port.
@@ -404,9 +406,11 @@ struct CallOptions {
 };
 
 /// Synchronous call: build Record(args, port(reply)), send to `fn_port`,
-/// pump `nodes` until the reply lands. Throws CallTimeoutError when the
-/// deadline passes or every bounded retransmission is exhausted with no
-/// reply (the latter is detected early: no reply, nothing in flight).
+/// pump `nodes` until the reply lands. The invocation holds the call's one
+/// copy of `args`, and the reply is moved out to the caller. Throws
+/// CallTimeoutError when the deadline passes or every bounded
+/// retransmission is exhausted with no reply (the latter is detected
+/// early: no reply, nothing in flight).
 [[nodiscard]] Value call_function(Node& client, uint64_t fn_port,
                                   const mtype::Graph& g,
                                   mtype::Ref invocation_type, const Value& args,

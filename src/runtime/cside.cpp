@@ -16,6 +16,9 @@ using stype::Stype;
 
 namespace {
 
+/// The annotations an element or field starts from: none of its own use site.
+const Annotations kNone{};
+
 bool char_family(Prim p, const Annotations& ann) {
   bool as_char = p == Prim::Char8 || p == Prim::Char16;
   if (ann.intent) as_char = *ann.intent == ScalarIntent::Character;
@@ -282,9 +285,7 @@ void CWriter::write_pointer(Stype* node, const Annotations& eff,
         Layout el = layout_.layout_of(node->elem);
         uint64_t n = eff.length->static_size;
         uint64_t base = heap_.alloc(el.size * std::max<uint64_t>(n, 1), el.align);
-        for (uint64_t i = 0; i < n; ++i) {
-          write(node->elem, {}, value.at(i), base + i * el.size, env_out);
-        }
+        write_elems(node->elem, value, n, base, el.size, env_out);
         heap_.write_ptr(addr, base);
         return;
       }
@@ -307,9 +308,7 @@ void CWriter::write_pointer(Stype* node, const Annotations& eff,
         uint64_t n = list->size();
         uint64_t base =
             heap_.alloc(el.size * std::max<uint64_t>(n + (nul ? 1 : 0), 1), el.align);
-        for (uint64_t i = 0; i < n; ++i) {
-          write(node->elem, {}, list->at(i), base + i * el.size, env_out);
-        }
+        write_elems(node->elem, *list, n, base, el.size, env_out);
         // NUL terminator slots are already zero (alloc zero-fills).
         heap_.write_ptr(addr, base);
         if (env_out != nullptr && !nul) (*env_out)[eff.length->name] = n;
@@ -347,6 +346,22 @@ void CWriter::write_enum(Stype* decl, const Value& value, uint64_t addr) {
                                 decl->enumerators[static_cast<size_t>(ordinal)].value));
 }
 
+void CWriter::write_elems(Stype* elem_type, const Value& elems, uint64_t n,
+                          uint64_t base, uint64_t stride, LengthEnv* env_out) {
+  if (n == 0) return;
+  Annotations acc;
+  Stype* decl = elem_type;
+  if (decl != nullptr && (decl->kind == Kind::Named || decl->kind == Kind::Typedef)) {
+    decl = layout_.module().resolve(elem_type, &acc);
+    if (decl == nullptr) {
+      throw MbError("write: unknown type '" + elem_type->name + "'");
+    }
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    write(decl, acc, elems.at(i), base + i * stride, env_out);
+  }
+}
+
 void CWriter::write_aggregate(Stype* decl, const Value& value, uint64_t addr,
                               LengthEnv* env_out) {
   if (decl->agg_kind == AggKind::Union) {
@@ -360,7 +375,7 @@ void CWriter::write_aggregate(Stype* decl, const Value& value, uint64_t addr,
   size_t vi = 0;
   for (size_t i = 0; i < fields.size(); ++i) {
     if (absorbed[i]) continue;
-    write(fields[i]->type, {}, value.at(vi++),
+    write(fields[i]->type, kNone, value.at(vi++),
           addr + layout_.field_offset(decl, i), &local);
   }
   // Second pass: fill absorbed count fields from the recorded lengths.
@@ -386,9 +401,11 @@ void CWriter::write_aggregate(Stype* decl, const Value& value, uint64_t addr,
   }
 }
 
-void CWriter::write(Stype* type, Annotations inherited, const Value& value,
-                    uint64_t addr, LengthEnv* env_out) {
+void CWriter::write(Stype* type, const Annotations& inherited,
+                    const Value& value, uint64_t addr, LengthEnv* env_out) {
   if (type == nullptr) return;
+  // A node copies the annotations it writes under only when it adds its own.
+  Annotations scratch;
   switch (type->kind) {
     case Kind::Named:
     case Kind::Typedef: {
@@ -398,31 +415,24 @@ void CWriter::write(Stype* type, Annotations inherited, const Value& value,
       write(decl, acc, value, addr, env_out);
       return;
     }
-    case Kind::Prim: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
-      write_prim(type->prim, eff, value, addr);
+    case Kind::Prim:
+      write_prim(type->prim, inherited.filled_from(type->ann, scratch), value,
+                 addr);
       return;
-    }
     case Kind::Enum: write_enum(type, value, addr); return;
     case Kind::Pointer:
-    case Kind::Reference: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
-      write_pointer(type, eff, value, addr, env_out);
+    case Kind::Reference:
+      write_pointer(type, inherited.filled_from(type->ann, scratch), value, addr,
+                    env_out);
       return;
-    }
     case Kind::Array: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
       if (type->array_size) {
         Layout el = layout_.layout_of(type->elem);
-        for (uint64_t i = 0; i < *type->array_size; ++i) {
-          write(type->elem, {}, value.at(i), addr + i * el.size, env_out);
-        }
+        write_elems(type->elem, value, *type->array_size, addr, el.size, env_out);
         return;
       }
-      write_pointer(type, eff, value, addr, env_out);
+      write_pointer(type, inherited.filled_from(type->ann, scratch), value, addr,
+                    env_out);
       return;
     }
     case Kind::Sequence:

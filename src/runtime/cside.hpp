@@ -50,8 +50,8 @@ class CWriter {
   /// bytes). Pointer targets and array buffers are allocated on the heap.
   /// Absorbed lengths discovered while writing (ParamName annotations) are
   /// recorded in `env_out`.
-  void write(stype::Stype* type, stype::Annotations inherited, const Value& value,
-             uint64_t addr, LengthEnv* env_out = nullptr);
+  void write(stype::Stype* type, const stype::Annotations& inherited,
+             const Value& value, uint64_t addr, LengthEnv* env_out = nullptr);
 
   /// Allocate memory for `type` and write `value` into it.
   uint64_t materialize(stype::Stype* type, stype::Annotations inherited,
@@ -62,6 +62,11 @@ class CWriter {
                   const Value& value, uint64_t addr);
   void write_pointer(stype::Stype* node, const stype::Annotations& eff,
                      const Value& value, uint64_t addr, LengthEnv* env_out);
+  /// Write elements 0..n-1 of `elems` (a List or Record) as `elem_type`,
+  /// `stride` bytes apart from `base`. The element type is resolved once
+  /// for the list, and only when it has elements.
+  void write_elems(stype::Stype* elem_type, const Value& elems, uint64_t n,
+                   uint64_t base, uint64_t stride, LengthEnv* env_out);
   void write_aggregate(stype::Stype* decl, const Value& value, uint64_t addr,
                        LengthEnv* env_out);
   void write_enum(stype::Stype* decl, const Value& value, uint64_t addr);

@@ -66,6 +66,9 @@ bool j_is_collection(const Stype* decl, const Annotations& eff) {
 
 namespace {
 
+/// The annotations an element or field starts from: none of its own use site.
+const Annotations kNone{};
+
 /// Adapt a scalar slot value to the family the annotations select.
 Value adapt_scalar(Prim prim, const Annotations& ann, const Value& v) {
   bool as_char = prim == Prim::Char8 || prim == Prim::Char16;
@@ -115,10 +118,20 @@ Value JReader::read_object(Stype* decl, const Annotations& eff, JRef ref) const 
                             *eff.element_type + "'");
     }
     bool elem_not_null = eff.element_not_null.value_or(false);
+    bool elem_objects =
+        elem_decl->kind == Kind::Aggregate || elem_decl->kind == Kind::Enum;
+    // Every element is read as the same class, so its field list is worked
+    // out once for the collection (a nested collection class still goes
+    // through read_object, which rejects it).
+    bool elem_nested = elem_objects && j_is_collection(elem_decl, kNone);
+    std::vector<stype::Field*> elem_fields;
+    if (elem_objects && !elem_nested) {
+      elem_fields = j_instance_fields(module_, elem_decl);
+    }
     std::vector<Value> elems;
     elems.reserve(obj.elems.size());
     for (const auto& slot : obj.elems) {
-      if (elem_decl->kind == Kind::Aggregate || elem_decl->kind == Kind::Enum) {
+      if (elem_objects) {
         if (slot.is_ref && slot.ref == kJNull) {
           if (elem_not_null) {
             throw ConversionError("null element violates not-null annotation on " +
@@ -126,7 +139,9 @@ Value JReader::read_object(Stype* decl, const Annotations& eff, JRef ref) const 
           }
           elems.push_back(Value::choice(0, Value::unit()));
         } else if (slot.is_ref) {
-          Value v = read_object(elem_decl, {}, slot.ref);
+          Value v = elem_nested
+                        ? read_object(elem_decl, kNone, slot.ref)
+                        : read_fields(elem_decl, elem_fields, heap_.at(slot.ref));
           elems.push_back(elem_not_null ? std::move(v)
                                         : Value::choice(1, std::move(v)));
         } else {
@@ -138,8 +153,11 @@ Value JReader::read_object(Stype* decl, const Annotations& eff, JRef ref) const 
     }
     return Value::list(std::move(elems));
   }
+  return read_fields(decl, j_instance_fields(module_, decl), obj);
+}
 
-  auto fields = j_instance_fields(module_, decl);
+Value JReader::read_fields(Stype* decl, const std::vector<stype::Field*>& fields,
+                           const JObject& obj) const {
   if (obj.fields.size() < fields.size()) {
     throw ConversionError("object of class " + obj.cls + " has " +
                           std::to_string(obj.fields.size()) +
@@ -151,7 +169,7 @@ Value JReader::read_object(Stype* decl, const Annotations& eff, JRef ref) const 
   // both the object layout and the field collection, so the prefix is the
   // parent's state. Classes unrelated to `decl` are rejected when both are
   // known to the module.
-  if (obj.cls != decl->name && obj.fields.size() > fields.size()) {
+  if (obj.fields.size() > fields.size() && obj.cls != decl->name) {
     const stype::Stype* actual = module_.find(obj.cls);
     if (actual != nullptr && !is_derived_from(obj.cls, decl->name)) {
       throw ConversionError("object of class " + obj.cls +
@@ -161,13 +179,16 @@ Value JReader::read_object(Stype* decl, const Annotations& eff, JRef ref) const 
   std::vector<Value> children;
   children.reserve(fields.size());
   for (size_t i = 0; i < fields.size(); ++i) {
-    children.push_back(read(fields[i]->type, {}, obj.fields[i]));
+    children.push_back(read(fields[i]->type, kNone, obj.fields[i]));
   }
   return Value::record(std::move(children));
 }
 
-Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const {
+Value JReader::read(Stype* type, const Annotations& inherited,
+                    const JSlot& slot) const {
   if (type == nullptr) return Value::unit();
+  // A node copies the annotations it reads under only when it adds its own.
+  Annotations scratch;
   switch (type->kind) {
     case Kind::Named:
     case Kind::Typedef: {
@@ -177,11 +198,10 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
       return read(decl, acc, slot);
     }
     case Kind::Prim: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
       if (type->prim == Prim::Void) return Value::unit();
       if (slot.is_ref) throw ConversionError("expected a scalar slot");
-      return adapt_scalar(type->prim, eff, slot.prim);
+      return adapt_scalar(type->prim, inherited.filled_from(type->ann, scratch),
+                          slot.prim);
     }
     case Kind::Enum: {
       if (slot.is_ref) throw ConversionError("expected an enum ordinal slot");
@@ -193,8 +213,7 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
     }
     case Kind::Reference:
     case Kind::Pointer: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
+      const Annotations& eff = inherited.filled_from(type->ann, scratch);
       if (!slot.is_ref) throw ConversionError("expected a reference slot");
       bool not_null = eff.not_null.value_or(false);
 
@@ -225,7 +244,7 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
         const JObject& obj = heap_.at(slot.ref);
         std::vector<Value> elems;
         elems.reserve(obj.elems.size());
-        for (const auto& es : obj.elems) elems.push_back(read(decl->elem, {}, es));
+        for (const auto& es : obj.elems) elems.push_back(read(decl->elem, kNone, es));
         v = Value::list(std::move(elems));
       } else {
         throw ConversionError("unsupported reference target");
@@ -235,8 +254,6 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
     case Kind::Array: {
       // A Java array-typed slot: a reference to an array object.
       if (!slot.is_ref) throw ConversionError("expected an array reference");
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
       if (slot.ref == kJNull) {
         // Null arrays and empty lists both map to nil.
         return Value::list({});
@@ -244,7 +261,7 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
       const JObject& obj = heap_.at(slot.ref);
       std::vector<Value> elems;
       elems.reserve(obj.elems.size());
-      for (const auto& es : obj.elems) elems.push_back(read(type->elem, {}, es));
+      for (const auto& es : obj.elems) elems.push_back(read(type->elem, kNone, es));
       if (type->array_size) {
         if (elems.size() != *type->array_size) {
           throw ConversionError("array length does not match declared size");
@@ -258,14 +275,12 @@ Value JReader::read(Stype* type, Annotations inherited, const JSlot& slot) const
       if (slot.ref == kJNull) return Value::list({});
       const JObject& obj = heap_.at(slot.ref);
       std::vector<Value> elems;
-      for (const auto& es : obj.elems) elems.push_back(read(type->elem, {}, es));
+      for (const auto& es : obj.elems) elems.push_back(read(type->elem, kNone, es));
       return Value::list(std::move(elems));
     }
-    case Kind::Aggregate: {
-      Annotations eff = inherited;
-      eff.fill_from(type->ann);
-      return read_object(type, eff, slot.ref);
-    }
+    case Kind::Aggregate:
+      return read_object(type, inherited.filled_from(type->ann, scratch),
+                         slot.ref);
     case Kind::Function:
       throw ConversionError("functions are not data (use the rpc layer)");
   }

@@ -64,12 +64,17 @@ class JReader {
       : module_(module), heap_(heap) {}
 
   /// Read the value of `type` from a slot.
-  [[nodiscard]] Value read(stype::Stype* type, stype::Annotations inherited,
+  [[nodiscard]] Value read(stype::Stype* type,
+                           const stype::Annotations& inherited,
                            const JSlot& slot) const;
 
  private:
   Value read_object(stype::Stype* decl, const stype::Annotations& eff,
                     JRef ref) const;
+  /// Read `obj` as an instance of class `decl`, whose instance fields are
+  /// `fields` (j_instance_fields of `decl`).
+  Value read_fields(stype::Stype* decl, const std::vector<stype::Field*>& fields,
+                    const JObject& obj) const;
   [[nodiscard]] bool is_derived_from(const std::string& cls,
                                      const std::string& base) const;
 

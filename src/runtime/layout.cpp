@@ -127,6 +127,10 @@ uint64_t NativeHeap::alloc(uint64_t size, uint64_t align) {
   return addr;
 }
 
+void NativeHeap::release_to(uint64_t mark) {
+  if (mark < mem_.size()) mem_.resize(std::max(mark, kReserved));
+}
+
 const uint8_t* NativeHeap::at(uint64_t addr, uint64_t len) const {
   if (addr == 0 || addr + len > mem_.size()) {
     throw MbError("native heap: bad access at " + std::to_string(addr));

@@ -49,11 +49,15 @@ class LayoutEngine {
 
 class NativeHeap {
  public:
-  NativeHeap() : mem_(16, 0) {}  // address 0..15 reserved; 0 is NULL
+  NativeHeap() : mem_(kReserved, 0) {}
 
   /// Allocate `size` bytes at `align`; returns the address. Memory is
   /// zero-initialized.
   uint64_t alloc(uint64_t size, uint64_t align);
+  /// Drop everything allocated since size() returned `mark`: the heap
+  /// shrinks back to `mark` bytes, and addresses at or above it are no
+  /// longer valid. A mark at or above size() drops nothing.
+  void release_to(uint64_t mark);
 
   [[nodiscard]] const uint8_t* at(uint64_t addr, uint64_t len) const;
   [[nodiscard]] uint8_t* at_mut(uint64_t addr, uint64_t len);
@@ -73,6 +77,7 @@ class NativeHeap {
   [[nodiscard]] uint64_t size() const { return mem_.size(); }
 
  private:
+  static constexpr uint64_t kReserved = 16;  // addresses 0..15; 0 is NULL
   std::vector<uint8_t> mem_;
 };
 

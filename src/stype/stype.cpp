@@ -113,6 +113,14 @@ void Annotations::fill_from(const Annotations& other) {
   if (!ordered_collection) ordered_collection = other.ordered_collection;
 }
 
+const Annotations& Annotations::filled_from(const Annotations& own,
+                                            Annotations& scratch) const {
+  if (own.empty()) return *this;
+  scratch = *this;
+  scratch.fill_from(own);
+  return scratch;
+}
+
 bool Annotations::empty() const {
   return !not_null && !no_alias && !range_lo && !range_hi && !repertoire &&
          !intent && !real && !direction && !length && !by_value &&

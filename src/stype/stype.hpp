@@ -119,6 +119,11 @@ struct Annotations {
   /// Used when accumulating from a use-site outward: the outermost
   /// annotation — closest to the programmer's intent at this use — wins.
   void fill_from(const Annotations& other);
+  /// *this with its unset fields filled from `own`, a node's own
+  /// annotations under a use site's. When `own` sets nothing that is *this
+  /// itself, uncopied; otherwise the result is built in `scratch`.
+  [[nodiscard]] const Annotations& filled_from(const Annotations& own,
+                                               Annotations& scratch) const;
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::string to_string() const;
 };

@@ -3,7 +3,11 @@
 // boundary — the complete Fig. 6 workflow on the paper's own example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <iostream>
 
 #include "annotate/script.hpp"
 #include "bridge/cbridge.hpp"
@@ -17,7 +21,12 @@
 #include "runtime/convert.hpp"
 #include "runtime/cside.hpp"
 #include "runtime/jside.hpp"
+#include "support/rng.hpp"
 #include "wire/wire.hpp"
+
+// Defined in alloc_counter.cpp, beside the operator new they count.
+void count_allocs(bool on);
+uint64_t alloc_count();
 
 namespace mbird {
 namespace {
@@ -121,10 +130,11 @@ struct FitterWorld {
   compare::Result inv_cmp;
 };
 
-/// Build the Java-side argument record for fitter: a PointVector of points.
-Value java_fitter_args(Module& java_mod, JHeap& jheap,
-                       const std::vector<std::pair<float, float>>& points) {
-  // Construct real heap objects the way application code would.
+using Points = std::vector<std::pair<float, float>>;
+
+/// A PointVector of Points on a Java heap, built the way application code
+/// would build it.
+JRef make_point_vector(JHeap& jheap, const Points& points) {
   JRef pv = jheap.alloc("PointVector");
   for (auto [x, y] : points) {
     JRef p = jheap.alloc("Point", 2);
@@ -132,6 +142,12 @@ Value java_fitter_args(Module& java_mod, JHeap& jheap,
     jheap.at(p).fields[1] = JSlot::scalar(Value::real(y));
     jheap.at(pv).elems.push_back(JSlot::reference(p));
   }
+  return pv;
+}
+
+/// Build the Java-side argument record for fitter: a PointVector of points.
+Value java_fitter_args(Module& java_mod, JHeap& jheap, const Points& points) {
+  JRef pv = make_point_vector(jheap, points);
   // Read it out through the annotated declaration.
   runtime::JReader reader(java_mod, jheap);
   stype::Annotations use;
@@ -327,6 +343,147 @@ TEST(FitterIntegration, SubtypeSubstitution) {
   Value out = conv.apply(full.to_right.root,
                          Value::record({Value::integer(123456)}));
   EXPECT_EQ(out, Value::record({Value::integer(123456)}));
+}
+
+TEST(FitterIntegration, BridgeReleasesNativeMemoryEachCall) {
+  // A long-lived served function must not grow its heap by every argument
+  // it receives: each call's argument and out-buffers are released once
+  // its reply has been read.
+  FitterWorld w;
+  NativeHeap cheap;
+  auto impl = bridge::wrap_c_function(w.c_mod, w.c_mod.find("fitter"), cheap,
+                                      &native_fitter);
+  std::vector<Value> pts;
+  for (int i = 0; i < 1024; ++i) {
+    pts.push_back(Value::record({Value::real(i), Value::real(2 * i + 1)}));
+  }
+  const Value args = Value::record({Value::list(std::move(pts))});
+  const uint64_t before = cheap.size();
+  for (int call = 0; call < 1000; ++call) {
+    Value reply = impl(args);
+    ASSERT_EQ(reply.at(1).at(1).as_real(), 2047.0) << "call " << call;
+  }
+  EXPECT_EQ(cheap.size(), before)
+      << "1000 calls grew the heap by " << cheap.size() - before << " bytes";
+}
+
+// ---- the in-process stub path ---------------------------------------------------
+//
+// The chain the stub_call benchmark runs: the Java side reads a PointVector
+// with JReader and calls the C fitter through the proxy make_port_adapter
+// returns for the function's port, over a socketpair, and wrap_c_function
+// serves the call.
+
+/// `n` points on a 1/64 grid: exact floats, so the stub and the direct call
+/// see identical inputs.
+Points grid_points(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Points pts(n);
+  for (auto& [x, y] : pts) {
+    x = static_cast<float>(rng.range(-(1 << 19), (1 << 19) - 1)) / 64.0f;
+    y = static_cast<float>(rng.range(-(1 << 19), (1 << 19) - 1)) / 64.0f;
+  }
+  return pts;
+}
+
+/// The oracle: the native fitter called directly on the same points.
+std::array<float, 4> fit_directly(const Points& pts) {
+  NativeHeap heap;
+  uint64_t buf = heap.alloc(std::max<uint64_t>(pts.size(), 1) * 8, 4);
+  for (size_t i = 0; i < pts.size(); ++i) {
+    heap.write_f32(buf + i * 8, pts[i].first);
+    heap.write_f32(buf + i * 8 + 4, pts[i].second);
+  }
+  uint64_t start = heap.alloc(8, 4), end = heap.alloc(8, 4);
+  native_fitter(heap, {buf, pts.size(), start, end});
+  return {heap.read_f32(start), heap.read_f32(start + 4), heap.read_f32(end),
+          heap.read_f32(end + 4)};
+}
+
+struct StubPath {
+  FitterWorld w;
+  compare::Result port_cmp;  // C fitter port -> Java fitter port
+  rpc::Node client{1}, server{2};
+  NativeHeap cheap;
+  uint64_t proxy = 0;
+
+  StubPath() {
+    port_cmp = compare::compare(w.gc, w.rc, w.gj, w.rj, {});
+    EXPECT_TRUE(port_cmp.ok) << port_cmp.mismatch.to_string();
+    auto [lc, ls] = transport::make_socket_pair();
+    client.connect(2, std::move(lc));
+    server.connect(1, std::move(ls));
+    uint64_t fn_port = rpc::serve_function(
+        server, w.gc, w.inv_c(),
+        bridge::wrap_c_function(w.c_mod, w.c_mod.find("fitter"), cheap,
+                                &native_fitter));
+    proxy = rpc::make_port_adapter(client, port_cmp.plan, w.gc, w.gj)(
+        fn_port, port_cmp.root);
+  }
+
+  /// One call as the benchmark makes it: the JReader read of the points,
+  /// then call_function on the proxy.
+  Value call(const JHeap& jheap, JRef pv) {
+    runtime::JReader reader(w.java_mod, jheap);
+    stype::Annotations notnull;
+    notnull.not_null = true;
+    Value args = Value::record({reader.read(w.java_mod.find("PointVector"),
+                                            notnull, JSlot::reference(pv))});
+    return rpc::call_function(client, proxy, w.gj, w.inv_java(), args,
+                              {&client, &server});
+  }
+};
+
+TEST(StubPath, LinesMatchTheNativeFitterBitForBit) {
+  StubPath s;
+  const size_t client_ports = s.client.open_port_count();
+  const size_t server_ports = s.server.open_port_count();
+  for (size_t n : {0, 1, 4, 1000, 4096}) {
+    Points pts = grid_points(n, 1000 + n);
+    JHeap jheap;
+    JRef pv = make_point_vector(jheap, pts);
+    Value reply = s.call(jheap, pv);
+    const Value& line = reply.at(0);
+    const std::array<float, 4> got = {
+        static_cast<float>(line.at(0).at(0).as_real()),
+        static_cast<float>(line.at(0).at(1).as_real()),
+        static_cast<float>(line.at(1).at(0).as_real()),
+        static_cast<float>(line.at(1).at(1).as_real())};
+    const std::array<float, 4> expect = fit_directly(pts);
+    EXPECT_EQ(std::memcmp(got.data(), expect.data(), sizeof got), 0)
+        << n << " points: got (" << got[0] << ", " << got[1] << ") - ("
+        << got[2] << ", " << got[3] << "), expected (" << expect[0] << ", "
+        << expect[1] << ") - (" << expect[2] << ", " << expect[3] << ")";
+  }
+  EXPECT_EQ(s.client.open_port_count(), client_ports);
+  EXPECT_EQ(s.server.open_port_count(), server_ports);
+}
+
+TEST(StubPath, AllocationsPerPointStayBounded) {
+  // Everything a call settles from the declarations is settled once per
+  // call; what a point still costs is the Values that carry it. Counted
+  // from the JReader read through the return of call_function.
+  StubPath s;
+  auto count_call = [&s](size_t n) {
+    Points pts = grid_points(n, n);
+    JHeap jheap;
+    JRef pv = make_point_vector(jheap, pts);
+    const uint64_t before = alloc_count();
+    count_allocs(true);
+    Value reply = s.call(jheap, pv);
+    count_allocs(false);
+    return alloc_count() - before;
+  };
+  // The first call compiles the proxy programs, and the largest sizes the
+  // pooled buffers that later calls reuse.
+  count_call(4096);
+  const uint64_t at_1024 = count_call(1024);
+  const uint64_t at_4096 = count_call(4096);
+  const double per_point = static_cast<double>(at_4096 - at_1024) / 3072.0;
+  std::cout << "[ allocs   ] 1024 points: " << at_1024
+            << ", 4096 points: " << at_4096 << ", per point: " << per_point
+            << "\n";
+  EXPECT_LE(per_point, 5.0);
 }
 
 }  // namespace

@@ -338,6 +338,75 @@ TEST(CSide, RangeAnnotationEnforcedOnRead) {
   EXPECT_THROW(r.read(m.find("S"), {}, addr), ConversionError);
 }
 
+TEST(CSide, RangeAnnotationEnforcedOnWrite) {
+  Module& m = parse_c_keep("struct S { int x; };");
+  DiagnosticEngine diags;
+  auto* fx = stype::resolve_annotation_path(m, "S.x", diags);
+  fx->ann.range_lo = 0;
+  fx->ann.range_hi = 100;
+
+  LayoutEngine eng(m);
+  NativeHeap heap;
+  CWriter w(eng, heap);
+  EXPECT_NO_THROW((void)w.materialize(m.find("S"), {},
+                                      Value::record({Value::integer(100)})));
+  EXPECT_THROW((void)w.materialize(m.find("S"), {},
+                                   Value::record({Value::integer(101)})),
+               ConversionError);
+}
+
+TEST(CSide, RangeOnAListElementTypedefEnforcedOnWrite) {
+  // The range sits on the typedef the counted list's elements are declared
+  // with, so every element, the last one included, is written under it.
+  Module& m = parse_c_keep(
+      "typedef int digit; struct Bag { int n; digit *items; };");
+  m.find("digit")->ann.range_lo = 0;
+  m.find("digit")->ann.range_hi = 9;
+  DiagnosticEngine diags;
+  stype::resolve_annotation_path(m, "Bag.items", diags)->ann.length =
+      LengthSpec{LengthSpec::Kind::FieldName, 0, "n"};
+  ASSERT_FALSE(diags.has_errors());
+
+  LayoutEngine eng(m);
+  NativeHeap heap;
+  CWriter w(eng, heap);
+  CReader r(eng, heap);
+  Value ok = Value::record({Value::list({Value::integer(0), Value::integer(9)})});
+  EXPECT_EQ(r.read(m.find("Bag"), {}, w.materialize(m.find("Bag"), {}, ok)), ok);
+  Value bad = Value::record({Value::list(
+      {Value::integer(1), Value::integer(2), Value::integer(10)})});
+  EXPECT_THROW((void)w.materialize(m.find("Bag"), {}, bad), ConversionError);
+}
+
+TEST(CSide, UnresolvedListElementTypedefThrows) {
+  // `item` names a struct the module never declares. The list's buffer is
+  // sized from the element's layout before any element is written, so an
+  // empty list fails with the same error as a full one.
+  Module& m = parse_c_keep(
+      "typedef struct missing item; struct Bag { int n; item *items; };");
+  DiagnosticEngine diags;
+  stype::resolve_annotation_path(m, "Bag.items", diags)->ann.length =
+      LengthSpec{LengthSpec::Kind::FieldName, 0, "n"};
+  ASSERT_FALSE(diags.has_errors());
+
+  LayoutEngine eng(m);
+  NativeHeap heap;
+  CWriter w(eng, heap);
+  auto error_of = [&](std::vector<Value> items) -> std::string {
+    try {
+      (void)w.materialize(m.find("Bag"), {},
+                          Value::record({Value::list(std::move(items))}));
+    } catch (const ConversionError& e) {
+      return std::string("ConversionError: ") + e.what();
+    } catch (const MbError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of({Value::record({})}), "layout: unknown type 'item'");
+  EXPECT_EQ(error_of({}), "layout: unknown type 'item'");
+}
+
 TEST(CSide, UnionReadRejected) {
   Module& m = parse_c_keep("union U { int i; float f; };");
   LayoutEngine eng(m);
@@ -455,6 +524,33 @@ TEST(JSide, NotNullElementViolation) {
   heap.at(pv).elems.push_back(JSlot::reference(kJNull));  // a null element!
   JReader r(m, heap);
   EXPECT_THROW(r.read(m.find("PV"), {}, JSlot::reference(pv)), ConversionError);
+}
+
+TEST(JSide, RangeOnACollectionElementFieldEnforced) {
+  Module& m = parse_java_keep("class P { int v; } class PV extends java.util.Vector;");
+  m.find("PV")->ann.element_type = "P";
+  m.find("PV")->ann.element_not_null = true;
+  DiagnosticEngine diags;
+  auto* fv = stype::resolve_annotation_path(m, "P.v", diags);
+  fv->ann.range_lo = 0;
+  fv->ann.range_hi = 9;
+
+  JHeap heap;
+  auto vector_of = [&heap](std::initializer_list<int> vs) {
+    JRef pv = heap.alloc("PV");
+    for (int v : vs) {
+      JRef p = heap.alloc("P", 1);
+      heap.at(p).fields[0] = JSlot::scalar(Value::integer(v));
+      heap.at(pv).elems.push_back(JSlot::reference(p));
+    }
+    return JSlot::reference(pv);
+  };
+  JReader r(m, heap);
+  EXPECT_EQ(r.read(m.find("PV"), {}, vector_of({0, 9})),
+            Value::list({Value::record({Value::integer(0)}),
+                         Value::record({Value::integer(9)})}));
+  EXPECT_THROW((void)r.read(m.find("PV"), {}, vector_of({3, 4, 10})),
+               ConversionError);
 }
 
 // ---- Converter -------------------------------------------------------------------
